@@ -409,7 +409,7 @@ def section_warmstart():
         cold_bounds.append(value)
     cold = time.perf_counter() - t0
     t0 = time.perf_counter()
-    combiner = StreamingCombiner(context_sensitive=True, warm_start=True)
+    combiner = StreamingCombiner(context_sensitive=True)
     warm_bounds = [combiner.add(graph) for graph in graphs]
     warm = time.perf_counter() - t0
     if cold_bounds != warm_bounds:
@@ -458,17 +458,23 @@ def _corpus_variant(name, corpus):
     shard is parsed and written once; repeats cost a hash and a
     manifest line), then :func:`repro.batch.runs.combine_store_jobs` —
     a multiplicity-weighted tree reduction whose working graph stays
-    coverage-sized.  Both paths must produce bit-identical results.
+    coverage-sized.  Both paths must produce bit-identical results,
+    down to the cut policy.
     """
     import shutil
     import tempfile
     from repro.batch.runs import combine_store_jobs
+    from repro.core.policy import CutPolicy
+    from repro.core.report import FlowReport
+    from repro.graph.mincut import min_cut_from_residual
     from repro.graph.serialize import dumps_graph
     from repro.store import ShardStore
     t0 = time.perf_counter()
     folded, _stats = collapse_graphs(corpus, context_sensitive=True)
-    fold_bits, _ = dinic_max_flow(folded)
+    fold_bits, residual = dinic_max_flow(folded)
     fold_seconds = time.perf_counter() - t0
+    fold_cut = CutPolicy.from_report(FlowReport(
+        fold_bits, min_cut_from_residual(folded, residual), folded))
     texts = {}
     for shard in corpus:
         if id(shard) not in texts:
@@ -486,6 +492,11 @@ def _corpus_variant(name, corpus):
             raise AssertionError(
                 "store combine diverged from the parent fold on the %s "
                 "corpus: %d vs %d bits" % (name, result.bits, fold_bits))
+        if CutPolicy.from_report(result.report).to_dict() != \
+                fold_cut.to_dict():
+            raise AssertionError("store combine placed the cut elsewhere "
+                                 "than the parent fold on the %s corpus"
+                                 % name)
         for prefix, final in zip(result.anytime, result.anytime[1:]):
             if prefix < final:
                 raise AssertionError("anytime trail is not "

@@ -31,13 +31,12 @@ import io
 import time
 
 from .. import obs
-from ..core.combine import (IncrementalKraft, StreamingCombiner,
-                            kraft_satisfied, kraft_sum)
-from ..core.measure import measure_graph, measure_runs
+from ..core.combine import IncrementalKraft, kraft_satisfied, kraft_sum
+from ..core.measure import measure_folded, measure_graph, measure_runs
 from ..core.multisecret import CategoryBounds, _restricted_copy
 from ..core.tracker import CollapsingTraceBuilder
 from ..errors import BatchError, GraphError, StoreError
-from ..graph.collapse import CollapseStats, collapse_graphs
+from ..graph.collapse import CollapseStats, collapse_step
 from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import MinCut
 from ..graph.serialize import dump_graph, load_graph
@@ -213,31 +212,22 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
                          collapse="context", jobs=1, filename="<source>",
                          entry="main", max_steps=None, deadline_seconds=None,
                          timeout=None, retries=0, on_error="raise",
-                         faults=None, warm_start=True, backend=None,
-                         store=None):
+                         faults=None, backend=None, store=None):
     """Measure one program over many secrets, ``jobs`` runs at a time.
 
     The batch analogue of :func:`repro.lang.runner.measure_many`: each
     secret is traced (online-collapsed) in a worker, and the workers'
     serialized graphs are re-combined for the Section 3.2 Kraft-sound
-    bound — streamed through a warm-started
-    :class:`~repro.core.combine.StreamingCombiner` by default, or by
-    the tree-reduction merge across the pool when a shard ``store`` is
-    given.  ``max_steps``/``deadline_seconds`` bound each
-    run inside its worker (a run past its deadline raises ``VMTimeout``
-    — a non-transient job failure); ``timeout``/``retries``/``on_error``
+    bound — one :func:`~repro.core.measure.measure_runs` fold (a
+    single collapse, a single solve), or the tree-reduction merge
+    across the pool when a shard ``store`` is given; both give the
+    same bound, graph, and cut.  ``max_steps``/``deadline_seconds``
+    bound each run inside its worker (a run past its deadline raises
+    ``VMTimeout`` — a non-transient job failure);
+    ``timeout``/``retries``/``on_error``
     configure the engine's :class:`~repro.batch.engine.FaultPolicy`.
     Returns a :class:`BatchResult` — partial, with a ``failures`` list,
     when runs failed under ``on_error="collect"``.
-
-    With ``warm_start`` (the default) the merge folds the worker
-    graphs in one at a time through a
-    :class:`~repro.core.combine.StreamingCombiner`, re-solving each
-    intermediate combined graph from the previous residual — the
-    ``maxflow.warm_start.*`` counters report the reuse.  The final
-    bound and combined graph are identical to the one-shot combination
-    (``warm_start=False``, the ``repro batch --no-warm-start`` path);
-    only the tie-broken placement of the minimum cut may differ.
 
     ``store`` (a :class:`~repro.store.ShardStore` or a directory path,
     created if missing) switches the merge to the corpus pipeline: each
@@ -303,22 +293,10 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
                 "all %d runs failed; no combined bound exists (first "
                 "failure: %s)" % (len(outcomes), failures[0]))
         if shard_store is not None:
-            result = combine_store_jobs(
+            report = combine_store_jobs(
                 shard_store, context_sensitive=(collapse == "context"),
-                jobs=jobs, faults=engine.faults, warm_start=warm_start,
-                stats_list=stats_list, warnings=warnings)
-            report = result.report
-        elif warm_start:
-            combiner = StreamingCombiner(
-                context_sensitive=(collapse == "context"))
-            span = obs.get_tracer().span("measure.runs", runs=len(graphs),
-                                         collapse=collapse, jobs=1)
-            with span, metrics.phase("measure"):
-                for graph in graphs:
-                    combiner.add(graph)
-                span.set(bits=combiner.bits)
-                report = combiner.report(stats_list=stats_list,
-                                         warnings=warnings)
+                jobs=jobs, faults=engine.faults, stats_list=stats_list,
+                warnings=warnings).report
         else:
             report = measure_runs(graphs, collapse=collapse,
                                   stats_list=stats_list, warnings=warnings)
@@ -332,7 +310,7 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
 
 
 # ----------------------------------------------------------------------
-# Tree-reduced multi-run combination (parallel collapse_graphs)
+# Store-backed corpus combine (tree reduction over a ShardStore)
 
 
 def _default_fanin(count, jobs):
@@ -350,130 +328,6 @@ def _tree_parts(count, jobs, fanin):
     if count <= fanin:
         return 1
     return min(jobs, -(-count // fanin))
-
-
-def _combine_chunk_job(payload):
-    """Combine one contiguous chunk of serialized shards in a worker.
-
-    Each item is ``(text, original_nodes, original_edges)``; the
-    returned original counts are the *carried* sums, so multi-level
-    reduction keeps counting the true corpus size rather than the
-    intermediate graphs'.
-    """
-    items, context_sensitive = payload
-    chunk = [_load_text(text) for text, _, _ in items]
-    combined, _ = collapse_graphs(chunk,
-                                  context_sensitive=context_sensitive)
-    return {
-        "graph": _dump_text(combined),
-        "original_nodes": sum(nodes for _, nodes, _ in items),
-        "original_edges": sum(edges for _, _, edges in items),
-    }
-
-
-def combine_graphs_jobs(graphs, context_sensitive=True, jobs=1,
-                        timeout=None, retries=0, on_error="raise",
-                        faults=None, fanin=None):
-    """Tree-reduced parallel :func:`~repro.graph.collapse.collapse_graphs`.
-
-    The graph list is split into contiguous chunks and combined as a
-    reduction *tree*: every level sends chunks of at most ``fanin``
-    intermediate graphs to the worker pool, until one chunk remains,
-    which the parent folds as the root.  No process — parent included —
-    ever materializes more than one chunk of coverage-sized graphs at a
-    time, which is what lets corpus-scale combines run in O(coverage)
-    memory per process.  The union-find construction is associative
-    over ordered contiguous chunks, so the result is identical (same
-    node numbering, edge order, capacities, and labels-as-serialized)
-    to combining the whole list at once, whatever the topology; the
-    reported :class:`CollapseStats` count the original inputs, as the
-    serial call would.  ``fanin`` defaults to one worker-sized chunk
-    per level (the first level then matches the old single-level
-    split).
-
-    Under ``on_error="collect"``, a failed chunk job *excludes its
-    subtree*: the combined graph covers only the surviving inputs, and
-    the failures are reported in ``stats.failures`` (callers must
-    treat such a combination as partial — the §3 guarantee does not
-    cover the excluded runs).  At least one subtree must survive, or a
-    :class:`~repro.errors.BatchError` is raised.
-    """
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("combine_graphs_jobs needs at least one graph")
-    engine = BatchEngine(jobs, faults=_fault_policy(faults, timeout,
-                                                    retries, on_error))
-    if min(engine.jobs, len(graphs)) <= 1:
-        return collapse_graphs(graphs, context_sensitive=context_sensitive)
-    if fanin is None:
-        fanin = _default_fanin(len(graphs), engine.jobs)
-    elif fanin < 2:
-        raise ValueError("fanin must be >= 2, got %r" % (fanin,))
-    items = [(_dump_text(g), g.num_nodes, g.num_edges) for g in graphs]
-    metrics = obs.get_metrics()
-    t0 = time.perf_counter()
-    failures = []
-    levels = 0
-    shipped = 0
-    with obs.get_tracer().span("batch.merge", chunks=len(items)):
-        while True:
-            parts = _tree_parts(len(items), engine.jobs, fanin)
-            if parts <= 1:
-                break
-            payloads = [(items[lo:hi], context_sensitive)
-                        for lo, hi in _chunks(len(items), parts)]
-            outcomes = engine.map(_combine_chunk_job, payloads)
-            levels += 1
-            next_items = []
-            for payload, outcome in zip(payloads, outcomes):
-                if isinstance(outcome, JobFailure):
-                    failures.append(outcome)
-                    continue
-                shipped += sum(len(text.encode("utf-8"))
-                               for text, _, _ in payload[0])
-                shipped += len(outcome["graph"].encode("utf-8"))
-                next_items.append((outcome["graph"],
-                                   outcome["original_nodes"],
-                                   outcome["original_edges"]))
-            if not next_items:
-                raise BatchError(
-                    "all %d combination chunks failed (first failure: %s)"
-                    % (len(outcomes), failures[0]))
-            items = next_items
-        # Root fold, in the parent: at most ``fanin`` survivors.
-        survivors = []
-        original_nodes = original_edges = 0
-        for index, (text, nodes, edges) in enumerate(items):
-            try:
-                survivors.append(_load_text(text))
-            except GraphError as error:
-                if not engine.faults.collecting:
-                    raise
-                failures.append(_corrupt_graph_failure(index, error,
-                                                       metrics))
-                continue
-            original_nodes += nodes
-            original_edges += edges
-        if not survivors:
-            raise BatchError(
-                "all %d combination chunks failed (first failure: %s)"
-                % (len(items), failures[0]))
-        combined, _ = collapse_graphs(survivors,
-                                      context_sensitive=context_sensitive)
-        levels += 1
-    stats = CollapseStats(original_nodes, original_edges,
-                          combined.num_nodes, combined.num_edges,
-                          failures=failures)
-    if metrics.enabled:
-        metrics.gauge("combine.tree_levels", levels)
-        metrics.incr("batch.graphs_bytes", shipped)
-        metrics.add_seconds("batch.merge_seconds",
-                            time.perf_counter() - t0)
-    return combined, stats
-
-
-# ----------------------------------------------------------------------
-# Store-backed corpus combine (tree reduction over a ShardStore)
 
 
 class StoreCombineResult:
@@ -535,15 +389,8 @@ def _store_combine_chunk_job(payload):
     store = ShardStore(root, create=False)
     combined = None
     for digest, mult, _, _, _ in items:
-        graph = store.get(digest)
-        if combined is None:
-            combined, _ = collapse_graphs(
-                [graph], context_sensitive=context_sensitive,
-                multiplicities=[mult])
-        else:
-            combined, _ = collapse_graphs(
-                [combined, graph], context_sensitive=context_sensitive,
-                multiplicities=[1, mult])
+        combined = collapse_step(combined, store.get(digest),
+                                 context_sensitive, mult)
     return {
         "digest": store.put_object(combined),
         "source_cap": combined.source_capacity(),
@@ -556,21 +403,19 @@ def _store_combine_chunk_job(payload):
 
 def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
                        timeout=None, retries=0, on_error="raise",
-                       faults=None, warm_start=True, stats_list=None,
-                       warnings=None):
+                       faults=None, stats_list=None, warnings=None):
     """Combine a :class:`~repro.store.ShardStore` corpus by tree
     reduction; returns a :class:`StoreCombineResult`.
 
     The corpus is taken in its deduped first-occurrence view (digest +
     multiplicity) when every shard is dedup-safe, falling back to the
     literal manifest order otherwise — either way the combined graph,
-    cut, and bound are bit-identical to folding the manifest's graphs
-    through the plain :func:`combine_graphs_jobs` /
-    :func:`~repro.graph.collapse.collapse_graphs` path.  Reduction
-    levels run across the worker pool exchanging only store references;
-    the root level streams the surviving subtrees through a
-    :class:`~repro.core.combine.StreamingCombiner` with warm-started
-    re-solves.  Incremental Kraft accounting
+    cut, and bound are bit-identical to
+    :func:`~repro.core.measure.measure_runs` over the manifest's graphs.
+    Reduction levels run across the worker pool exchanging only store
+    references; the root level left-folds the surviving subtrees one
+    :func:`~repro.graph.collapse.collapse_step` at a time (O(coverage)
+    memory) and solves the result once.  Incremental Kraft accounting
     (:class:`~repro.core.combine.IncrementalKraft`) maintains a sound
     anytime upper bound throughout; the trail is returned as
     ``result.anytime``.
@@ -643,10 +488,9 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
                     "all %d combination chunks failed (first failure: %s)"
                     % (len(outcomes), failures[0]))
             items, gids = next_items, next_gids
-        # Root level: stream the survivors through warm-started solves.
-        combiner = StreamingCombiner(context_sensitive=context_sensitive,
-                                     warm_start=warm_start)
-        acc_gid = None
+        # Root level: a collapse-only left fold of the survivors.
+        combined = acc_gid = None
+        original_nodes = original_edges = covered = 0
         for index, ((digest, mult, nodes, edges, runs), gid) \
                 in enumerate(zip(items, gids)):
             try:
@@ -658,32 +502,38 @@ def combine_store_jobs(store, context_sensitive=True, jobs=1, fanin=None,
                                                        metrics))
                 kraft.drop(gid)
                 continue
-            combiner.add(graph, times=mult, original_nodes=nodes,
-                         original_edges=edges, run_count=runs)
+            with metrics.phase("collapse"):
+                combined = collapse_step(combined, graph,
+                                         context_sensitive, mult)
+            original_nodes += mult * nodes
+            original_edges += mult * edges
+            covered += mult * runs
             if acc_gid is None:
                 acc_gid = gid
             else:
-                acc_gid = kraft.merge(
-                    [acc_gid, gid], combiner.graph.source_capacity(),
-                    combiner.graph.sink_capacity())
-        if combiner.graph is None:
+                acc_gid = kraft.merge([acc_gid, gid],
+                                      combined.source_capacity(),
+                                      combined.sink_capacity())
+        if combined is None:
             raise BatchError(
                 "all %d shards failed to combine (first failure: %s)"
                 % (len(items), failures[0]))
         levels += 1
-        kraft.finalize(combiner.bits)
-        report = combiner.report(stats_list=stats_list,
-                                 warnings=list(warnings or []),
-                                 failures=failures)
+        report = measure_folded(
+            combined, CollapseStats(original_nodes, original_edges,
+                                    combined.num_nodes, combined.num_edges,
+                                    failures=failures),
+            stats_list=stats_list, warnings=list(warnings or []))
+        kraft.finalize(report.bits)
     attempted = len(store)
     if failures:
-        _mark_partial(report, attempted - combiner.runs, attempted)
+        _mark_partial(report, attempted - covered, attempted)
     if metrics.enabled:
         metrics.gauge("combine.tree_levels", levels)
         metrics.add_seconds("batch.merge_seconds",
                             time.perf_counter() - t0)
     return StoreCombineResult(report, kraft.trail, levels, attempted,
-                              store.distinct, combiner.runs, failures)
+                              store.distinct, covered, failures)
 
 
 # ----------------------------------------------------------------------

@@ -293,8 +293,7 @@ def cmd_batch(args):
         collapse=args.collapse, jobs=args.jobs, filename=args.program,
         max_steps=args.max_steps, deadline_seconds=args.deadline,
         timeout=args.timeout, retries=args.retries,
-        on_error=args.on_error, warm_start=not args.no_warm_start,
-        backend=args.backend, store=args.store)
+        on_error=args.on_error, backend=args.backend, store=args.store)
     report = result.report
     corpus = None
     if args.store:
@@ -353,8 +352,7 @@ def cmd_combine(args):
     result = combine_store_jobs(
         store, context_sensitive=(args.collapse == "context"),
         jobs=args.jobs, fanin=args.fanin, timeout=args.timeout,
-        retries=args.retries, on_error=args.on_error,
-        warm_start=not args.no_warm_start)
+        retries=args.retries, on_error=args.on_error)
     report = result.report
     if args.json:
         cut = CutPolicy.from_report(report)
@@ -515,12 +513,6 @@ def build_parser():
     p.add_argument("--collapse", default="context",
                    choices=["context", "location"])
     _add_backend_flag(p)
-    p.add_argument("--no-warm-start", dest="no_warm_start",
-                   action="store_true",
-                   help="combine the runs' graphs in one shot instead of "
-                        "streaming them through warm-started incremental "
-                        "re-solves (same bound either way; see "
-                        "docs/backends.md)")
     _add_budget_flags(p)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-job wall-clock timeout; a hung job's worker "
@@ -560,11 +552,6 @@ def build_parser():
                         "root fold)")
     p.add_argument("--collapse", default="context",
                    choices=["context", "location"])
-    p.add_argument("--no-warm-start", dest="no_warm_start",
-                   action="store_true",
-                   help="solve the root fold's intermediates cold "
-                        "instead of warm-starting from the previous "
-                        "residual (same bound either way)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-merge-job wall-clock timeout")
     p.add_argument("--retries", type=int, default=0, metavar="N",

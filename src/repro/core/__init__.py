@@ -15,9 +15,8 @@ from .lazyranges import (LazyRangeTable, MAX_DESCRIPTORS, MAX_EXCEPTIONS,
 from .measure import COLLAPSE_MODES, measure_graph, measure_runs
 from .multisecret import CategoryBounds, measure_by_category
 from .combine import (IncrementalKraft, StreamingCombiner,
-                      code_lengths_for, consistent_bounds,
-                      demonstrate_inconsistency, kraft_satisfied,
-                      kraft_sum)
+                      code_lengths_for, demonstrate_inconsistency,
+                      kraft_satisfied, kraft_sum)
 from .report import CutDescription, FlowReport
 from .policy import CutPolicy, FlowPolicy
 from .checking import CheckResult, CheckTracker, UnexpectedFlow
@@ -34,8 +33,7 @@ __all__ = [
     "COLLAPSE_MODES", "measure_graph", "measure_runs",
     "CategoryBounds", "measure_by_category",
     "IncrementalKraft", "StreamingCombiner", "code_lengths_for",
-    "consistent_bounds", "demonstrate_inconsistency", "kraft_satisfied",
-    "kraft_sum",
+    "demonstrate_inconsistency", "kraft_satisfied", "kraft_sum",
     "CutDescription", "FlowReport",
     "CutPolicy", "FlowPolicy",
     "CheckResult", "CheckTracker", "UnexpectedFlow",

@@ -17,12 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .. import obs
-from ..graph.collapse import CollapseStats, collapse_graphs
+from ..graph.collapse import CollapseStats, collapse_step
 from ..graph.flowgraph import INF
 from ..graph.maxflow import WarmStart, dinic_max_flow
 from ..graph.mincut import min_cut_from_residual
-from .measure import _publish, measure_runs
-from .report import FlowReport
+from .measure import _report
 
 
 def kraft_sum(bounds):
@@ -51,49 +50,47 @@ def code_lengths_for(num_messages):
     return (num_messages - 1).bit_length()
 
 
-def consistent_bounds(graphs, stats_list=None, collapse="context"):
-    """A single sound bound covering all ``graphs`` (Section 3.2).
-
-    Combines the runs' graphs by edge label and measures the result; the
-    returned report's ``bits`` is sound for the whole set of runs in the
-    Kraft sense (it corresponds to one fixed cut position, i.e. one code).
-    """
-    return measure_runs(graphs, collapse=collapse, stats_list=stats_list)
+def _natural(value, what):
+    """``int(value)``, rejecting negatives: every count and capacity in
+    a Kraft checkpoint is >= 0, so a negative one marks a corrupt
+    document (which would otherwise read as a negative bound)."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("negative %s %d" % (what, value))
+    return value
 
 
 class StreamingCombiner:
     """Fold run graphs in one at a time, re-solving incrementally.
 
-    The streaming counterpart of :func:`consistent_bounds` /
-    :func:`~repro.core.measure.measure_runs`: each :meth:`add` combines
-    the new run's graph into the accumulated combined graph (the same
-    label-driven union-find as the one-shot path -- contiguous-order
-    associativity makes the final graph identical to combining the whole
-    list at once) and re-solves.  Because the merged graph is the old
-    graph plus summed capacities, the previous solve's residual is a
-    feasible starting flow, so each re-solve warm-starts from it
-    (:class:`~repro.graph.maxflow.WarmStart`) and only augments the
-    increment -- near-free when a run adds little new coverage.
+    The anytime counterpart of :func:`~repro.core.measure.measure_runs`:
+    each :meth:`add` combines the new run's graph into the accumulated
+    combined graph (:func:`~repro.graph.collapse.collapse_step` --
+    contiguous-order associativity makes the final graph identical to
+    combining the whole list at once) and re-solves.  Because the
+    merged graph is the old graph plus summed capacities, the previous
+    solve's residual is a feasible starting flow, so each re-solve
+    warm-starts from it (:class:`~repro.graph.maxflow.WarmStart`) and
+    only augments the increment -- near-free when a run adds little new
+    coverage.
 
     After every ``add`` the current Kraft-sound bound over all runs so
-    far is available as :attr:`bits` -- an *anytime* bound that only the
-    streaming path can provide.  The bound is identical to the one-shot
-    combination's (the max-flow value is unique); with warm starting the
-    minimum *cut* may sit elsewhere when several cuts tie, which is
-    sound -- any minimum cut of the combined graph yields a valid §3
-    policy (``docs/backends.md`` has the full argument).
+    far is available as :attr:`bits` -- an exact per-run *anytime*
+    bound that only this class provides; callers that need just the
+    final bound fold once with ``measure_runs`` instead.  The bound is
+    identical to the one-shot combination's (the max-flow value is
+    unique); with warm starting the minimum *cut* may sit elsewhere
+    when several cuts tie, which is sound -- any minimum cut of the
+    combined graph yields a valid §3 policy (``docs/backends.md`` has
+    the full argument).
 
     Args:
         context_sensitive: merge-key sensitivity, as for
             :func:`~repro.graph.collapse.collapse_graphs`.
-        warm_start: seed each re-solve from the previous residual;
-            disable to re-solve cold every time (the reference
-            behaviour the equivalence suite compares against).
     """
 
-    def __init__(self, context_sensitive=True, warm_start=True):
+    def __init__(self, context_sensitive=True):
         self.context_sensitive = context_sensitive
-        self.warm_start = warm_start
         self.graph = None
         self.residual = None
         self.bits = None
@@ -102,42 +99,23 @@ class StreamingCombiner:
         self._original_nodes = 0
         self._original_edges = 0
 
-    def add(self, graph, times=1, original_nodes=None, original_edges=None,
-            run_count=None):
+    def add(self, graph, times=1):
         """Fold one run's graph in and re-solve; returns the new bound.
 
         ``times > 1`` folds that many repeats of the graph in one step
         (the shard-store dedup path), via the same
         ``multiplicities`` contract as
         :func:`~repro.graph.collapse.collapse_graphs`.
-        ``original_nodes``/``original_edges``/``run_count`` override the
-        pre-collapse size and run count attributed to this addition (per
-        repeat) when ``graph`` is itself already a combination — the
-        tree-reduction merge uses this to keep :attr:`stats` and
-        :attr:`runs` counting the true corpus size.
         """
         if times < 1:
             raise ValueError("times must be >= 1, got %r" % (times,))
-        metrics = obs.get_metrics()
-        with metrics.phase("collapse"):
-            if self.graph is None:
-                combined, _ = collapse_graphs(
-                    [graph], context_sensitive=self.context_sensitive,
-                    multiplicities=[times])
-            else:
-                combined, _ = collapse_graphs(
-                    [self.graph, graph],
-                    context_sensitive=self.context_sensitive,
-                    multiplicities=[1, times])
-        if original_nodes is None:
-            original_nodes = graph.num_nodes
-        if original_edges is None:
-            original_edges = graph.num_edges
-        self._original_nodes += times * original_nodes
-        self._original_edges += times * original_edges
-        self.runs += times * (1 if run_count is None else run_count)
-        value, residual = dinic_max_flow(
-            combined, warm_start=self._warm if self.warm_start else None)
+        with obs.get_metrics().phase("collapse"):
+            combined = collapse_step(self.graph, graph,
+                                     self.context_sensitive, times)
+        self._original_nodes += times * graph.num_nodes
+        self._original_edges += times * graph.num_edges
+        self.runs += times
+        value, residual = dinic_max_flow(combined, warm_start=self._warm)
         self.graph = combined
         self.residual = residual
         self.bits = value
@@ -152,37 +130,16 @@ class StreamingCombiner:
         return CollapseStats(self._original_nodes, self._original_edges,
                              self.graph.num_nodes, self.graph.num_edges)
 
-    def report(self, stats_list=None, warnings=None, failures=()):
+    def report(self, stats_list=None, warnings=None):
         """Package the current state as a
-        :class:`~repro.core.report.FlowReport`, mirroring
-        :func:`~repro.core.measure.measure_runs`' assembly."""
+        :class:`~repro.core.report.FlowReport` (the warm residual's
+        cut, through the same report builder as ``measure_runs``)."""
         if self.graph is None:
             raise ValueError("no graphs added yet")
-        metrics = obs.get_metrics()
-        tracer = obs.get_tracer()
-        with metrics.phase("mincut"):
+        with obs.get_metrics().phase("mincut"):
             cut = min_cut_from_residual(self.graph, self.residual)
-        merged_stats = {}
-        for stats in stats_list or []:
-            for key, val in stats.items():
-                merged_stats[key] = merged_stats.get(key, 0) + val
-        collapse_stats = self.stats
-        collapse_stats.failures = list(failures)
-        if metrics.enabled:
-            _publish(metrics, self.graph, self.bits, cut)
-        return FlowReport(
-            bits=self.bits,
-            mincut=cut,
-            graph=self.graph,
-            secret_input_bits=merged_stats.get("secret_input_bits"),
-            tainted_output_bits=merged_stats.get("tainted_output_bits"),
-            collapse_stats=collapse_stats,
-            stats=merged_stats,
-            warnings=warnings,
-            metrics=metrics.snapshot() if metrics.enabled else None,
-            trace_spans=tracer.snapshot() if tracer.enabled else None,
-            partial=bool(collapse_stats.failures),
-        )
+        return _report(self.graph, self.bits, cut, self.stats,
+                       stats_list or (), warnings)
 
 
 class IncrementalKraft:
@@ -339,21 +296,26 @@ class IncrementalKraft:
         """
         kraft = cls()
         for gid, src, sink in doc["groups"]:
-            gid = int(gid)
+            gid = _natural(gid, "group id")
             if gid in kraft._groups:
                 raise ValueError("duplicate group id %d" % gid)
-            caps = (min(int(src), INF), min(int(sink), INF))
+            caps = (min(_natural(src, "source capacity"), INF),
+                    min(_natural(sink, "sink capacity"), INF))
             kraft._groups[gid] = caps
             kraft._account(caps[0], caps[1], +1)
-        kraft._next_id = int(doc["next_id"])
+        kraft._next_id = _natural(doc["next_id"], "next_id")
         if kraft._groups and kraft._next_id <= max(kraft._groups):
             raise ValueError("next_id %d collides with live groups"
                              % kraft._next_id)
-        kraft._sealed = bool(doc["sealed"])
+        if not isinstance(doc["sealed"], bool):
+            raise ValueError("sealed must be a boolean, got %r"
+                             % (doc["sealed"],))
+        kraft._sealed = doc["sealed"]
         final = doc.get("final")
-        kraft._final = None if final is None else int(final)
-        kraft.trail = [int(b) for b in doc.get("trail", [])]
-        kraft.updates = int(doc.get("updates", 0))
+        kraft._final = None if final is None else _natural(final, "final")
+        kraft.trail = [_natural(b, "trail entry")
+                       for b in doc.get("trail", [])]
+        kraft.updates = _natural(doc.get("updates", 0), "updates")
         return kraft
 
     @property

@@ -44,6 +44,47 @@ def _publish(metrics, solved, value, cut):
     metrics.gauge("mincut.edges", len(cut.edges))
 
 
+def _solve(graph, span, solver=dinic_max_flow):
+    """The single solve + min cut every measurement ends in."""
+    value, residual = solver(graph)
+    with obs.get_metrics().phase("mincut"):
+        cut = min_cut_from_residual(graph, residual)
+    span.set(bits=value)
+    return value, cut
+
+
+def _report(graph, value, cut, collapse_stats=None, stats_list=(),
+            warnings=None):
+    """Package one solve as a :class:`FlowReport` -- the one report
+    builder of single-run, multi-run, and store-folded measurements.
+
+    ``stats_list`` holds the trace builders' event-counter dicts, summed
+    key by key; a ``collapse_stats`` carrying ``failures`` marks the
+    report partial.
+    """
+    stats = {}
+    for run_stats in stats_list:
+        for key, val in run_stats.items():
+            stats[key] = stats.get(key, 0) + val
+    metrics = obs.get_metrics()
+    tracer = obs.get_tracer()
+    if metrics.enabled:
+        _publish(metrics, graph, value, cut)
+    return FlowReport(
+        bits=value,
+        mincut=cut,
+        graph=graph,
+        secret_input_bits=stats.get("secret_input_bits"),
+        tainted_output_bits=stats.get("tainted_output_bits"),
+        collapse_stats=collapse_stats,
+        stats=stats,
+        warnings=warnings,
+        metrics=metrics.snapshot() if metrics.enabled else None,
+        trace_spans=tracer.snapshot() if tracer.enabled else None,
+        partial=bool(getattr(collapse_stats, "failures", None)),
+    )
+
+
 def measure_graph(graph, collapse="context", stats=None, warnings=None,
                   solver=dinic_max_flow):
     """Measure the information flow bound of a completed trace graph.
@@ -102,101 +143,47 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None,
             with metrics.phase("collapse"):
                 solved, collapse_stats = collapse_graphs(
                     [graph], context_sensitive=(collapse == "context"))
-        value, residual = solver(solved)
-        with metrics.phase("mincut"):
-            cut = min_cut_from_residual(solved, residual)
-        span.set(bits=value)
-    stats = dict(stats or {})
-    if metrics.enabled:
-        _publish(metrics, solved, value, cut)
-    return FlowReport(
-        bits=value,
-        mincut=cut,
-        graph=solved,
-        secret_input_bits=stats.get("secret_input_bits"),
-        tainted_output_bits=stats.get("tainted_output_bits"),
-        collapse_stats=collapse_stats,
-        stats=stats,
-        warnings=warnings,
-        metrics=metrics.snapshot() if metrics.enabled else None,
-        trace_spans=tracer.snapshot() if tracer.enabled else None,
-    )
+        value, cut = _solve(solved, span, solver)
+    return _report(solved, value, cut, collapse_stats,
+                   [stats] if stats else (), warnings)
 
 
-def measure_runs(graphs, collapse="context", stats_list=None, warnings=None,
-                 solver=dinic_max_flow, jobs=1, faults=None, store=None):
+def measure_runs(graphs, collapse="context", stats_list=None, warnings=None):
     """Measure several runs *together* (Section 3.2).
 
     The graphs are combined by edge label before solving, which forces a
     single consistent cut placement across the runs; the resulting bound
     covers the whole set soundly (it is the length of one code word that
     could carry any of the runs' messages... more precisely, the sum of
-    per-run flows is feasible in the combined graph).
-
-    ``jobs > 1`` combines the graphs by tree reduction across worker
-    processes (:func:`repro.batch.runs.combine_graphs_jobs`); the
-    result — bound, cut, and combined graph — is identical to the
-    serial combination.  A collecting ``faults`` policy there can drop
-    failed subtrees; the report then comes back marked ``partial`` with
-    the failures noted in ``collapse_stats.failures``.
-
-    ``store`` (a :class:`~repro.store.ShardStore` or a directory path)
-    routes the combine through the corpus pipeline instead: the graphs
-    are appended to the store content-addressed (identical graphs dedup
-    to a multiplicity) and the bound is computed over the *entire*
-    store corpus by :func:`repro.batch.runs.combine_store_jobs` — so
-    the report also covers shards appended in earlier calls against the
-    same store.  On a fresh store the result is bit-identical to the
-    plain combine of ``graphs``.
+    per-run flows is feasible in the combined graph).  One
+    :func:`~repro.graph.collapse.collapse_graphs` call, one cold solve,
+    one report: every multi-run fold in the package ends in this solve
+    and report (store-backed folds hand their left-folded graph to
+    :func:`measure_folded`).
     """
-    if store is not None:
-        from ..batch.runs import combine_store_jobs
-        from ..store import ShardStore
-        shard_store = store if isinstance(store, ShardStore) \
-            else ShardStore(store)
-        for graph in graphs:
-            shard_store.put(graph)
-        result = combine_store_jobs(
-            shard_store, context_sensitive=(collapse == "context"),
-            jobs=jobs or 1, faults=faults, stats_list=stats_list,
-            warnings=warnings)
-        return result.report
     graphs = list(graphs)
     metrics = obs.get_metrics()
-    tracer = obs.get_tracer()
-    span = tracer.span("measure.runs", runs=len(graphs), collapse=collapse,
-                       jobs=jobs or 1)
+    span = obs.get_tracer().span("measure.runs", runs=len(graphs),
+                                 collapse=collapse)
     with span, metrics.phase("measure"):
         with metrics.phase("collapse"):
-            if jobs and jobs > 1:
-                from ..batch.runs import combine_graphs_jobs
-                combined, collapse_stats = combine_graphs_jobs(
-                    graphs, context_sensitive=(collapse == "context"),
-                    jobs=jobs, faults=faults)
-            else:
-                combined, collapse_stats = collapse_graphs(
-                    graphs, context_sensitive=(collapse == "context"))
-        value, residual = solver(combined)
-        with metrics.phase("mincut"):
-            cut = min_cut_from_residual(combined, residual)
-        span.set(bits=value)
-    merged_stats = {}
-    for stats in stats_list or []:
-        for key, val in stats.items():
-            merged_stats[key] = merged_stats.get(key, 0) + val
-    if metrics.enabled:
-        _publish(metrics, combined, value, cut)
-    report = FlowReport(
-        bits=value,
-        mincut=cut,
-        graph=combined,
-        secret_input_bits=merged_stats.get("secret_input_bits"),
-        tainted_output_bits=merged_stats.get("tainted_output_bits"),
-        collapse_stats=collapse_stats,
-        stats=merged_stats,
-        warnings=warnings,
-        metrics=metrics.snapshot() if metrics.enabled else None,
-        trace_spans=tracer.snapshot() if tracer.enabled else None,
-        partial=bool(getattr(collapse_stats, "failures", None)),
-    )
-    return report
+            combined, collapse_stats = collapse_graphs(
+                graphs, context_sensitive=(collapse == "context"))
+        value, cut = _solve(combined, span)
+    return _report(combined, value, cut, collapse_stats,
+                   stats_list or (), warnings)
+
+
+def measure_folded(combined, collapse_stats, stats_list=None, warnings=None):
+    """:func:`measure_runs` for a graph already folded elsewhere.
+
+    The store-backed folds left-fold their shards one collapse step at
+    a time (:func:`~repro.graph.collapse.collapse_step`, O(coverage)
+    memory) and then solve once here.
+    """
+    metrics = obs.get_metrics()
+    span = obs.get_tracer().span("measure.runs")
+    with span, metrics.phase("measure"):
+        value, cut = _solve(combined, span)
+    return _report(combined, value, cut, collapse_stats,
+                   stats_list or (), warnings)

@@ -525,9 +525,10 @@ class CollapsingTraceBuilder(TraceBuilder):
     the plain builder's graph: same partition, same collapsed edge
     capacities, same max-flow bound.
 
-    Not for multi-run combination: :func:`~repro.graph.collapse.combine_runs`
-    stays the (only) path for Section 3.2, and remains the reference
-    implementation for this builder's equivalence suite.
+    Not for multi-run combination:
+    :func:`~repro.graph.collapse.collapse_graphs` stays the (only) path
+    for Section 3.2, and remains the reference implementation for this
+    builder's equivalence suite.
 
     Args:
         context_sensitive: merge edges by (kind, location, context hash)

@@ -14,7 +14,7 @@ from .edmonds_karp import edmonds_karp_max_flow
 from .push_relabel import push_relabel_max_flow
 from .mincut import CutEdge, MinCut, min_cut, min_cut_from_residual
 from .collapse import (CollapseStats, OnlineCollapser, collapse_graph,
-                       collapse_graph_online, collapse_graphs, combine_runs,
+                       collapse_graph_online, collapse_graphs, collapse_step,
                        dedup_safe)
 from .seriesparallel import SPReduction, reduce_series_parallel
 from .unionfind import UnionFind
@@ -30,7 +30,7 @@ __all__ = [
     "edmonds_karp_max_flow", "push_relabel_max_flow",
     "CutEdge", "MinCut", "min_cut", "min_cut_from_residual",
     "CollapseStats", "OnlineCollapser", "collapse_graph",
-    "collapse_graph_online", "collapse_graphs", "combine_runs",
+    "collapse_graph_online", "collapse_graphs", "collapse_step",
     "dedup_safe",
     "SPReduction", "reduce_series_parallel",
     "UnionFind",

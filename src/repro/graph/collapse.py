@@ -516,41 +516,19 @@ def collapse_graph_online(graph, context_sensitive=True):
     return combined, stats
 
 
-def combine_runs(graphs, context_sensitive=True, jobs=1, faults=None,
-                 store=None):
-    """Combine the graphs of multiple runs (Section 3.2).
+def collapse_step(combined, graph, context_sensitive=True, times=1):
+    """One step of a collapse-only left fold: ``combined`` plus
+    ``times`` repeats of ``graph`` (``combined`` is ``None`` to start).
 
-    Alias of :func:`collapse_graphs`, named for the multi-run use case.
-    ``jobs > 1`` fans the combination over worker processes as a tree
-    reduction (:func:`repro.batch.runs.combine_graphs_jobs`): chunks
-    merge level by level across the pool and the parent folds only the
-    last level, so no process ever holds more than O(coverage) graph.
-    The combined graph is identical to the serial result.  ``faults``
-    (a :class:`~repro.batch.engine.FaultPolicy`) configures that
-    fan-out's failure handling; see :func:`combine_graphs_jobs`.
-
-    ``store`` (a :class:`~repro.store.ShardStore` or a directory path)
-    appends the graphs to a content-addressed corpus first and combines
-    the *whole* store via
-    :func:`repro.batch.runs.combine_store_jobs` — identical graphs
-    dedup to a multiplicity, and reduction levels exchange digests
-    instead of serialized graphs.  On a fresh store the returned
-    ``(graph, stats)`` is bit-identical to the plain combine.
+    Folding a list step by step gives the same graph as one
+    :func:`collapse_graphs` call over it (the union-find is associative
+    over ordered contiguous inputs) while holding only the running
+    combination and one run -- O(coverage) memory for store-backed
+    corpora.
     """
-    if store is not None:
-        from ..batch.runs import combine_store_jobs
-        from ..store import ShardStore
-        shard_store = store if isinstance(store, ShardStore) \
-            else ShardStore(store)
-        for graph in graphs:
-            shard_store.put(graph)
-        result = combine_store_jobs(shard_store,
-                                    context_sensitive=context_sensitive,
-                                    jobs=jobs or 1, faults=faults)
-        return result.report.graph, result.report.collapse_stats
-    if jobs and jobs > 1:
-        from ..batch.runs import combine_graphs_jobs
-        return combine_graphs_jobs(graphs,
-                                   context_sensitive=context_sensitive,
-                                   jobs=jobs, faults=faults)
-    return collapse_graphs(graphs, context_sensitive=context_sensitive)
+    if combined is None:
+        graphs, multiplicities = [graph], [times]
+    else:
+        graphs, multiplicities = [combined, graph], [1, times]
+    return collapse_graphs(graphs, context_sensitive=context_sensitive,
+                           multiplicities=multiplicities)[0]

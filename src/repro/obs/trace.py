@@ -66,7 +66,7 @@ def _span_specs():
         ("measure.graph", "experimental",
          "one measure_graph() call: collapse + solve + mincut"),
         ("measure.runs", "experimental",
-         "one measure_runs() call over a set of run graphs"),
+         "one multi-run fold: measure_runs() or measure_folded()"),
         ("collapse.graphs", "experimental",
          "one post-hoc collapse_graphs() union-find pass"),
         ("collapse.online.materialize", "experimental",

@@ -33,10 +33,10 @@ The Kraft accountant is checkpointed after the progress line and
 verified against it on resume — a stale or torn ``kraft.json`` is
 rebuilt from the progress records and the stored shard metadata, so
 no run is ever double-admitted into the §3 accounting.  The final
-combine folds the stored shards in run-index order through the same
-:class:`~repro.core.combine.StreamingCombiner` path an uninterrupted
-run uses, which is why a killed-and-resumed job's final bounds are
-bit-identical to an undisturbed one's.
+combine left-folds the stored shards in run-index order and solves
+once (:func:`~repro.core.measure.measure_folded`), the same path an
+uninterrupted run takes, which is why a killed-and-resumed job's final
+bounds are bit-identical to an undisturbed one's.
 
 Graceful degradation: worker crashes ride the existing
 ``FaultPolicy(on_error="collect")`` path, so a job that loses runs
@@ -58,9 +58,11 @@ import time
 from .. import obs
 from ..batch.engine import PENDING, BatchEngine, FaultPolicy, JobFailure
 from ..batch.runs import _trace_run_job
-from ..core.combine import IncrementalKraft, StreamingCombiner
+from ..core.combine import IncrementalKraft
+from ..core.measure import measure_folded
 from ..core.policy import CutPolicy
 from ..errors import ServeError
+from ..graph.collapse import CollapseStats, collapse_step
 from ..graph.flowgraph import INF
 from ..shadow import resolve_backend
 from ..store import ShardStore
@@ -481,24 +483,31 @@ class MeasurementDaemon:
                            {"runs": runs_total, "covered": 0,
                             "error": failures[0] if failures else None})
             return
-        combiner = StreamingCombiner(
-            context_sensitive=(canonical["collapse"] == "context"))
+        combined = None
+        original_nodes = original_edges = 0
         warnings = []
         stats_list = []
         for run in success:
             record = completed[run]
-            combiner.add(store.get(record["digest"]))
+            graph = store.get(record["digest"])
+            with obs.get_metrics().phase("collapse"):
+                combined = collapse_step(
+                    combined, graph, canonical["collapse"] == "context")
+            original_nodes += graph.num_nodes
+            original_edges += graph.num_edges
             warnings.extend(record.get("warnings") or [])
             stats_list.append(record.get("stats") or {})
+        report = measure_folded(
+            combined, CollapseStats(original_nodes, original_edges,
+                                    combined.num_nodes, combined.num_edges),
+            stats_list=stats_list, warnings=warnings)
         if not kraft.sealed:
             kraft.seal()
-        bits = combiner.bits
+        bits = report.bits
         kraft.finalize(bits)
         _atomic_json(kraft_path, {"format": "kraft-v1",
                                   "kraft": kraft.to_dict(),
                                   "runs": success})
-        report = combiner.report(stats_list=stats_list,
-                                 warnings=warnings)
         cut = CutPolicy.from_report(report)
         doc = {
             "id": job.id,

@@ -1,11 +1,11 @@
 """Randomized store/tree-reduce ≡ parent-fold equivalence.
 
 The corpus-scale combine pipeline (content-addressed shard store →
-dedup by multiplicity → tree reduction across the pool → streaming
-root fold) must change only *where* the work happens, never *what* is
-computed: combined graph, cut, capacity, and Kraft bound must be
-bit-identical to the plain parent-side fold over the same manifest
-order.  On top of that, the incremental Kraft trail must be a sound
+dedup by multiplicity → tree reduction across the pool → collapse-only
+root fold → one solve) must change only *where* the work happens, never
+*what* is computed: combined graph, cut (down to the ``CutPolicy`` it
+yields), capacity, and Kraft bound must be bit-identical to the plain
+parent-side fold over the same manifest order.  On top of that, the incremental Kraft trail must be a sound
 anytime bound — every prefix entry >= the final exact bound, monotone
 nonincreasing, ending exactly at it.
 """
@@ -15,10 +15,12 @@ import random
 
 import pytest
 
-from repro.batch import combine_graphs_jobs, combine_store_jobs
+from repro import obs
+from repro.batch import combine_store_jobs
 from repro.core.measure import measure_runs
+from repro.core.policy import CutPolicy
 from repro.errors import BatchError
-from repro.graph.collapse import collapse_graphs, dedup_safe
+from repro.graph.collapse import dedup_safe
 from repro.graph.flowgraph import EdgeLabel, FlowGraph
 from repro.graph.serialize import dump_graph
 from repro.store import ShardStore
@@ -98,6 +100,8 @@ def assert_reports_identical(store_result, reference):
         graph_text(reference.graph)
     assert cut_fingerprint(store_result.report.mincut) == \
         cut_fingerprint(reference.mincut)
+    assert CutPolicy.from_report(store_result.report).to_dict() == \
+        CutPolicy.from_report(reference).to_dict()
     stats = store_result.report.collapse_stats
     ref_stats = reference.collapse_stats
     assert (stats.original_nodes, stats.original_edges,
@@ -118,32 +122,38 @@ def assert_trail_sound(store_result):
 
 
 class TestTreeReduction:
-    """``combine_graphs_jobs`` ≡ one-shot ``collapse_graphs``."""
+    """Any reduction topology ≡ one-shot ``measure_runs``."""
 
-    def test_randomized_equivalence(self):
+    def test_randomized_equivalence(self, tmp_path):
         rng = random.Random(101)
         for trial in range(8):
             graphs = [shard(rng) for _ in range(rng.randrange(3, 12))]
-            serial_graph, serial_stats = collapse_graphs(graphs)
+            reference = measure_runs(graphs)
+            store = fill_store(tmp_path / ("tree-%d" % trial), graphs)
             for jobs, fanin in ((2, None), (3, 2), (2, 3), (4, 7)):
-                tree_graph, tree_stats = combine_graphs_jobs(
-                    graphs, jobs=jobs, fanin=fanin)
-                assert graph_text(tree_graph) == graph_text(serial_graph), \
-                    (trial, jobs, fanin)
-                assert (tree_stats.original_nodes,
-                        tree_stats.original_edges,
-                        tree_stats.collapsed_nodes,
-                        tree_stats.collapsed_edges) == \
-                    (serial_stats.original_nodes,
-                     serial_stats.original_edges,
-                     serial_stats.collapsed_nodes,
-                     serial_stats.collapsed_edges)
+                result = combine_store_jobs(store, jobs=jobs, fanin=fanin)
+                assert_reports_identical(result, reference)
 
-    def test_bad_fanin_rejected(self):
+    def test_bad_fanin_rejected(self, tmp_path):
         rng = random.Random(5)
+        store = fill_store(tmp_path / "fanin",
+                           [shard(rng) for _ in range(4)])
         with pytest.raises(ValueError):
-            combine_graphs_jobs([shard(rng) for _ in range(4)],
-                                jobs=2, fanin=1)
+            combine_store_jobs(store, jobs=2, fanin=1)
+
+    def test_root_fold_solves_once(self, tmp_path):
+        rng = random.Random(7)
+        store = fill_store(tmp_path / "once",
+                           [shard(rng) for _ in range(9)])
+        for jobs in (1, 2):
+            obs.enable()
+            try:
+                result = combine_store_jobs(store, jobs=jobs, fanin=2)
+                snapshot = obs.get_metrics().snapshot()
+            finally:
+                obs.disable()
+            assert result.levels > 1 or jobs == 1
+            assert snapshot["maxflow.solves"] == 1
 
 
 class TestStoreEquivalence:
@@ -156,8 +166,9 @@ class TestStoreEquivalence:
                              run_count=rng.randrange(6, 20))
             reference = measure_runs(runs)
             store = fill_store(tmp_path / ("heavy-%d" % trial), runs)
-            for jobs in (1, 2, 4):
-                result = combine_store_jobs(store, jobs=jobs)
+            for jobs, fanin in ((1, None), (2, None), (4, None), (1, 2),
+                                (2, 2)):
+                result = combine_store_jobs(store, jobs=jobs, fanin=fanin)
                 assert result.runs == len(runs)
                 assert result.distinct == store.distinct
                 assert not result.partial
@@ -182,20 +193,10 @@ class TestStoreEquivalence:
         reference = measure_runs(runs)
         store = fill_store(tmp_path / "unsafe", runs)
         for jobs in (1, 2):
-            result = combine_store_jobs(store, jobs=jobs)
+            result = combine_store_jobs(store, jobs=jobs, fanin=2)
             assert result.runs == len(runs)
             assert_reports_identical(result, reference)
             assert_trail_sound(result)
-
-    def test_measure_runs_store_entry_point(self, tmp_path):
-        rng = random.Random(229)
-        runs, _ = corpus(rng, distinct_count=2, run_count=8)
-        reference = measure_runs(runs)
-        via_store = measure_runs(runs, store=tmp_path / "mr", jobs=2)
-        assert via_store.bits == reference.bits
-        assert graph_text(via_store.graph) == graph_text(reference.graph)
-        assert cut_fingerprint(via_store.mincut) == \
-            cut_fingerprint(reference.mincut)
 
     def test_empty_store_rejected(self, tmp_path):
         with pytest.raises(ValueError):

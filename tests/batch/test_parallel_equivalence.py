@@ -15,14 +15,15 @@ import pytest
 
 from repro import obs
 from repro.apps.countpunct import FLOWLANG_SOURCE as COUNTPUNCT
-from repro.batch import measure_program_runs
+from repro.batch import combine_store_jobs, measure_program_runs
 from repro.core.measure import measure_runs
 from repro.core.multisecret import measure_by_category
+from repro.core.policy import CutPolicy
 from repro.core.tracker import TraceBuilder
-from repro.graph.collapse import combine_runs
 from repro.graph.serialize import dump_graph
 from repro.lang import compile_cached, execute
 from repro.pytrace import Session
+from repro.store import ShardStore
 
 BRANCHY = """
 fn main() {
@@ -79,6 +80,16 @@ def cut_fingerprint(cut):
     return sorted(entries, key=repr)
 
 
+def assert_same_fold(report, reference):
+    """Bit-identical bound, combined graph, and cut policy."""
+    assert report.bits == reference.bits
+    assert graph_text(report.graph) == graph_text(reference.graph)
+    assert cut_fingerprint(report.mincut) == \
+        cut_fingerprint(reference.mincut)
+    assert CutPolicy.from_report(report).to_dict() == \
+        CutPolicy.from_report(reference).to_dict()
+
+
 def random_secrets(seed, count, alphabet=b".?ax \x00\xff", max_len=40):
     rng = random.Random(seed)
     return [bytes(rng.choice(alphabet) for _ in range(rng.randrange(1, max_len)))
@@ -100,7 +111,8 @@ class TestMultiRunEquivalence:
         (23, COUNTPUNCT, "location"),
         (37, BRANCHY, "context"),
     ])
-    def test_program_runs_bit_identical(self, seed, source, collapse):
+    def test_program_runs_bit_identical(self, tmp_path, seed, source,
+                                        collapse):
         secrets = random_secrets(seed, 5)
         serial, serial_snap = snapshot_for(
             lambda: measure_program_runs(source, secrets,
@@ -108,15 +120,33 @@ class TestMultiRunEquivalence:
         parallel, parallel_snap = snapshot_for(
             lambda: measure_program_runs(source, secrets,
                                          collapse=collapse, jobs=3))
-        assert parallel.bits == serial.bits
         assert parallel.per_run_bits == serial.per_run_bits
         assert parallel.kraft_sum == serial.kraft_sum
-        assert graph_text(parallel.report.graph) == \
-            graph_text(serial.report.graph)
-        assert cut_fingerprint(parallel.report.mincut) == \
-            cut_fingerprint(serial.report.mincut)
+        assert_same_fold(parallel.report, serial.report)
         for name in STABLE_COUNTERS:
             assert parallel_snap[name] == serial_snap[name], name
+        # One fold, one solve: the per-run solves plus exactly one more.
+        assert serial_snap["maxflow.solves"] == len(secrets) + 1
+        context = collapse == "context"
+        for jobs in (1, 2):
+            root = tmp_path / ("store-%d" % jobs)
+            stored, snap = snapshot_for(
+                lambda: measure_program_runs(source, secrets,
+                                             collapse=collapse, jobs=jobs,
+                                             store=root))
+            assert stored.per_run_bits == serial.per_run_bits
+            assert_same_fold(stored.report, serial.report)
+            assert snap["maxflow.solves"] == len(secrets) + 1
+            store = ShardStore(root, create=False)
+            # The shipped shards folded by measure_runs directly.
+            assert_same_fold(
+                measure_runs([store.get(d) for d in store.order()],
+                             collapse=collapse), serial.report)
+            for combine_jobs in (1, 2):
+                combined = combine_store_jobs(
+                    store, context_sensitive=context, jobs=combine_jobs,
+                    fanin=2)
+                assert_same_fold(combined.report, serial.report)
 
     def test_parallel_counters_are_worker_sums(self):
         """Merged parent counters equal the sums of per-run counters."""
@@ -154,28 +184,25 @@ class TestCombineEquivalence:
         (8, "location", 2),
         (13, "context", 5),
     ])
-    def test_measure_runs_jobs_bit_identical(self, seed, collapse, jobs):
+    def test_measure_runs_jobs_bit_identical(self, tmp_path, seed,
+                                             collapse, jobs):
+        # Raw traced graphs through the store's tree reduction (serial
+        # root fold and ``jobs`` workers) ≡ one measure_runs fold.
         graphs, stats = self.traced_graphs(seed, 6)
         serial = measure_runs(graphs, collapse=collapse, stats_list=stats)
-        parallel = measure_runs(graphs, collapse=collapse,
-                                stats_list=stats, jobs=jobs)
-        assert parallel.bits == serial.bits
-        assert graph_text(parallel.graph) == graph_text(serial.graph)
-        assert cut_fingerprint(parallel.mincut) == \
-            cut_fingerprint(serial.mincut)
-        assert parallel.collapse_stats.original_edges == \
-            serial.collapse_stats.original_edges
-        assert parallel.collapse_stats.collapsed_nodes == \
-            serial.collapse_stats.collapsed_nodes
-
-    def test_combine_runs_jobs_bit_identical(self):
-        graphs, _stats = self.traced_graphs(42, 5)
-        serial, serial_stats = combine_runs(graphs)
-        parallel, parallel_stats = combine_runs(graphs, jobs=2)
-        assert graph_text(parallel) == graph_text(serial)
-        assert parallel_stats.original_nodes == serial_stats.original_nodes
-        assert parallel_stats.collapsed_edges == \
-            serial_stats.collapsed_edges
+        store = ShardStore(tmp_path / "store")
+        for graph in graphs:
+            store.put(graph)
+        for combine_jobs in (1, jobs):
+            parallel = combine_store_jobs(
+                store, context_sensitive=(collapse == "context"),
+                jobs=combine_jobs, fanin=2, stats_list=stats).report
+            assert_same_fold(parallel, serial)
+            assert parallel.stats == serial.stats
+            assert parallel.collapse_stats.original_edges == \
+                serial.collapse_stats.original_edges
+            assert parallel.collapse_stats.collapsed_nodes == \
+                serial.collapse_stats.collapsed_nodes
 
 
 #: Crashes (division by zero) exactly when the first secret byte is 0,

@@ -95,3 +95,38 @@ class TestTrail:
             obs.disable()
         assert kraft.updates == 4
         assert snapshot["combine.kraft_updates"] == 4
+
+
+class TestCheckpoint:
+    def state(self):
+        kraft = IncrementalKraft()
+        gids = [kraft.admit(8, 8), kraft.admit(3, 5)]
+        kraft.seal()
+        kraft.merge(gids, 9, 11)
+        return kraft.to_dict()
+
+    def test_round_trip(self):
+        doc = self.state()
+        restored = IncrementalKraft.from_dict(doc)
+        assert restored.to_dict() == doc
+        assert restored.bits == 9
+
+    @pytest.mark.parametrize("field,value", [
+        ("groups", [[0, -5, -7]]),
+        ("groups", [[0, 5, -7]]),
+        ("groups", [[-1, 5, 7]]),
+        ("final", -7),
+        ("next_id", -1),
+        ("trail", [11, -2]),
+        ("updates", -3),
+        ("sealed", "no"),
+        ("sealed", 1),
+    ])
+    def test_corrupt_state_rejected(self, field, value):
+        # A negative capacity would otherwise read as a negative bound,
+        # and a truthy non-boolean as a sealed corpus.
+        doc = dict(self.state(), **{field: value})
+        if field == "groups":
+            doc["next_id"] = 1
+        with pytest.raises(ValueError):
+            IncrementalKraft.from_dict(doc)

@@ -7,7 +7,9 @@ solves must agree exactly; the minimum *cut* may be placed differently
 only when several cuts tie at the optimal capacity (any of them is a
 sound §3 policy).  These suites verify value identity, streaming ≡
 one-shot graph identity, and that infeasible carry-overs degrade to a
-cold solve instead of a wrong answer.
+cold solve instead of a wrong answer.  The collapse-only left fold the
+store-backed combines use (no warm start, one cold solve) must match
+the one-shot fold exactly, cut included.
 """
 
 import io
@@ -18,9 +20,10 @@ import pytest
 from repro import obs
 from repro.core.combine import StreamingCombiner
 from repro.core.locations import Location
-from repro.core.measure import measure_runs
+from repro.core.measure import measure_folded, measure_runs
+from repro.core.policy import CutPolicy
 from repro.core.tracker import CollapsingTraceBuilder, TraceBuilder
-from repro.graph.collapse import OnlineCollapser
+from repro.graph.collapse import OnlineCollapser, collapse_step
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
 from repro.graph.maxflow import WarmStart, dinic_max_flow
 from repro.graph.mincut import min_cut_from_residual
@@ -207,6 +210,14 @@ class TestWarmStartSolve:
         assert snap["maxflow.warm_start.reused_bits"] >= 0
 
 
+def cold_left_fold(graphs):
+    """The store paths' fold: collapse steps, then one cold solve."""
+    combined = None
+    for graph in graphs:
+        combined = collapse_step(combined, graph)
+    return measure_folded(combined, None)
+
+
 class TestStreamingCombiner:
     @pytest.mark.parametrize("seed,warm", [(51, True), (51, False),
                                            (52, True)])
@@ -214,18 +225,24 @@ class TestStreamingCombiner:
         graphs = trace_graphs(seed, 5)
         one_shot = measure_runs(graphs)
 
-        combiner = StreamingCombiner(warm_start=warm)
-        for graph in graphs:
-            combiner.add(graph)
-        report = combiner.report()
+        if warm:
+            combiner = StreamingCombiner()
+            for graph in graphs:
+                combiner.add(graph)
+            report = combiner.report()
+            assert combiner.stats.original_nodes == \
+                one_shot.collapse_stats.original_nodes
+            assert combiner.stats.original_edges == \
+                one_shot.collapse_stats.original_edges
+        else:
+            report = cold_left_fold(graphs)
+            # Same graph, same cold solve: the cut is identical too.
+            assert CutPolicy.from_report(report).to_dict() == \
+                CutPolicy.from_report(one_shot).to_dict()
 
         assert report.bits == one_shot.bits
         assert graph_text(report.graph) == graph_text(one_shot.graph)
         assert report.mincut.capacity == one_shot.mincut.capacity
-        assert combiner.stats.original_nodes == \
-            one_shot.collapse_stats.original_nodes
-        assert combiner.stats.original_edges == \
-            one_shot.collapse_stats.original_edges
 
     def test_anytime_bits_are_each_runs_sound_bound(self):
         graphs = trace_graphs(61, 4)
@@ -246,15 +263,22 @@ class TestStreamingCombiner:
 
 class TestBatchWarmStart:
     def test_batch_warm_equals_one_shot(self):
+        # The batch fold is one-shot (one collapse, one cold solve); a
+        # warm-started stream over the same online-collapsed runs must
+        # reach the same bound, graph, and cut capacity.
         from repro.batch import measure_program_runs
         rng = random.Random(71)
         secrets = [bytes(rng.randrange(256)
                          for _ in range(rng.randrange(1, 20)))
                    for _ in range(6)]
-        warm = measure_program_runs(BRANCHY, secrets, warm_start=True)
-        cold = measure_program_runs(BRANCHY, secrets, warm_start=False)
-        assert warm.bits == cold.bits
-        assert warm.per_run_bits == cold.per_run_bits
-        assert graph_text(warm.report.graph) == \
-            graph_text(cold.report.graph)
-        assert warm.report.mincut.capacity == cold.report.mincut.capacity
+        one_shot = measure_program_runs(BRANCHY, secrets)
+        compiled = compile_cached(BRANCHY)
+        combiner = StreamingCombiner()
+        for secret in secrets:
+            _vm, graph = lang_execute(compiled, secret,
+                                      tracker=CollapsingTraceBuilder())
+            combiner.add(graph)
+        warm = combiner.report()
+        assert warm.bits == one_shot.bits
+        assert graph_text(warm.graph) == graph_text(one_shot.report.graph)
+        assert warm.mincut.capacity == one_shot.report.mincut.capacity

@@ -7,7 +7,9 @@ import urllib.request
 
 import pytest
 
+from repro.graph.flowgraph import EdgeLabel, FlowGraph
 from repro.serve import MeasurementDaemon, ServeConfig
+from repro.store import ShardStore
 
 PROGRAM = """
 fn main() {
@@ -258,3 +260,40 @@ class TestCancellation:
         assert status in (202, 409)
         final = client.wait_terminal(doc["id"])
         assert final["state"] in ("cancelled", "done")
+
+
+class TestKraftCheckpoint:
+    @pytest.mark.parametrize("corruption", [
+        {"groups": [[0, -5, -7]]},
+        {"final": -7},
+        {"sealed": "no"},
+    ])
+    def test_corrupt_checkpoint_rebuilt_from_shards(self, tmp_path,
+                                                    corruption):
+        # A kraft.json that matches the progress journal but carries
+        # impossible values must not be trusted: the accountant is
+        # rebuilt from the stored shard metadata instead of serving a
+        # negative anytime bound.
+        daemon = MeasurementDaemon(ServeConfig(tmp_path / "state", port=0,
+                                               telemetry=False))
+        try:
+            graph = FlowGraph()
+            graph.add_edge(graph.SOURCE, graph.SINK, 6,
+                           EdgeLabel("job.fl:1", None, "io"))
+            with ShardStore(tmp_path / "store") as store:
+                completed = {0: {"run": 0, "bits": 6,
+                                 "digest": store.put_object(graph)}}
+                kraft = {"groups": [[0, 6, 6]], "next_id": 1,
+                         "sealed": False, "final": None, "trail": [],
+                         "updates": 0}
+                kraft.update(corruption)
+                path = tmp_path / "kraft.json"
+                path.write_text(json.dumps({"format": "kraft-v1",
+                                            "kraft": kraft, "runs": [0]}))
+                rebuilt, success = daemon._load_kraft(str(path), completed,
+                                                      store)
+            assert success == [0]
+            assert rebuilt.bits == 6
+            assert not rebuilt.sealed
+        finally:
+            daemon.queue.close()

@@ -110,15 +110,12 @@ def test_serve_subcommand_and_flags_are_documented():
             "--shed-runs"} <= documented
 
 
-def test_backend_and_warm_start_flags_are_documented():
+def test_backend_flag_is_documented():
     """The backend-selection surface must stay documented (backends.md
-    contract): the flags exist in the parser AND in docs/api.md."""
-    options = cli_option_strings()
-    assert "--backend" in options
-    assert "--no-warm-start" in options
+    contract): the flag exists in the parser AND in docs/api.md."""
+    assert "--backend" in cli_option_strings()
     documented = {flag for _, flag in documented_flags()}
     assert "--backend" in documented
-    assert "--no-warm-start" in documented
 
 
 def test_backend_flag_choices_cover_registry():
