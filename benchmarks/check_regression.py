@@ -6,10 +6,17 @@ Usage:  python benchmarks/check_regression.py BASELINE.json CURRENT.json
 The collapsed-graph size is the pipeline's central scalability property
 (Section 5.3: it tracks code coverage, not trace length), so it is the
 one thing CI pins: for every benchmark present in both files, the
-current collapsed node count must not exceed the baseline's.  Gauges
-checked: ``collapse.nodes_after`` (post-hoc collapse) and
-``collapse.online.nodes_live`` (online collapse); a gauge that is zero
+current collapsed node and edge counts must not exceed the baseline's.
+Gauges checked: ``collapse.nodes_after`` and ``collapse.edges_after``
+(post-hoc collapse), ``collapse.online.nodes_live`` and
+``collapse.online.edges_live`` (online collapse); a gauge that is zero
 in the baseline (the benchmark never collapsed that way) is skipped.
+
+Both collapse paths also pin their merge counters exactly:
+``collapse.label_merge_hits`` and ``collapse.online.merge_hits`` count
+the edges folded into an existing bucket, so a collapse rewrite that
+merges one edge more or fewer than the baseline fails even when the
+collapsed sizes happen to agree.
 
 The batch benchmarks additionally pin their workload shape exactly:
 ``batch.jobs`` and ``batch.workers`` must match the baseline, so a
@@ -51,13 +58,15 @@ import sys
 TELEMETRY_OVERHEAD_LIMIT = 0.05
 
 #: Gauges whose growth marks a collapsed-graph-size regression.
-CHECKED_GAUGES = ("collapse.nodes_after", "collapse.online.nodes_live")
+CHECKED_GAUGES = ("collapse.nodes_after", "collapse.edges_after",
+                  "collapse.online.nodes_live", "collapse.online.edges_live")
 
 #: Metrics that must match the baseline *exactly* (when nonzero there):
-#: the batch benchmarks' workload shape and the corpus-combine
-#: benchmark's reduction shape.
+#: the batch benchmarks' workload shape, the corpus-combine
+#: benchmark's reduction shape, and both collapse paths' merge counts.
 CHECKED_EXACT = ("batch.jobs", "batch.workers", "combine.tree_levels",
-                 "store.shards_written")
+                 "store.shards_written", "collapse.label_merge_hits",
+                 "collapse.online.merge_hits")
 
 #: Per-benchmark exact pins, checked *including zeros* -- but only when
 #: both records ran with the compiled extension available
@@ -112,9 +121,8 @@ def compare(baseline, current):
             if value != base_value:
                 status = "FAIL"
                 regressions.append(
-                    "%s: %s changed %d -> %d (batch workload shape must "
-                    "match the baseline)" % (name, metric, base_value,
-                                             value))
+                    "%s: %s changed %d -> %d (must match the baseline "
+                    "exactly)" % (name, metric, base_value, value))
             print("%s %-24s %-28s %6d -> %6d   (exact)"
                   % (status, name, metric, base_value, value))
         pinned = CHECKED_EXACT_PER_BENCHMARK.get(name, ())

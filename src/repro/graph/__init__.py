@@ -4,7 +4,9 @@ This package implements the graph-theoretic half of the paper: the
 capacitated flow networks that model executions (Section 2), the maximum
 flow algorithms that bound information leakage (Section 5), the min-cut
 extraction that yields checkable policies (Section 6.1), and the
-label-driven collapsing/combining of Sections 3.2 and 5.2.
+label-driven collapsing/combining of Sections 3.2 and 5.2 (one
+int-indexed union-find pass over per-label placeholders, in
+``collapse``).
 """
 
 from .flowgraph import INF, Edge, EdgeLabel, FlowGraph
@@ -17,7 +19,6 @@ from .collapse import (CollapseStats, OnlineCollapser, collapse_graph,
                        collapse_graph_online, collapse_graphs, collapse_step,
                        dedup_safe)
 from .seriesparallel import SPReduction, reduce_series_parallel
-from .unionfind import UnionFind
 from .dot import to_dot, write_dot
 from .serialize import (dump_graph, dump_graph_binary, dumps_graph,
                         graph_digest, load_graph, load_graph_binary,
@@ -33,7 +34,6 @@ __all__ = [
     "collapse_graph_online", "collapse_graphs", "collapse_step",
     "dedup_safe",
     "SPReduction", "reduce_series_parallel",
-    "UnionFind",
     "to_dot", "write_dot",
     "dump_graph", "dump_graph_binary", "dumps_graph", "graph_digest",
     "load_graph", "load_graph_binary", "read_graph", "read_graph_binary",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from .. import obs
 from ..errors import GraphError
 from .flowgraph import INF, FlowGraph
-from .unionfind import UnionFind
 
 
 class CollapseStats:
@@ -56,12 +55,6 @@ class CollapseStats:
                    if self.failures else ""))
 
 
-def _edge_key(label, context_sensitive):
-    if label is None:
-        return None
-    return label.key(context_sensitive)
-
-
 def dedup_safe(graph, context_sensitive=True):
     """Whether repeats of ``graph`` can combine by multiplicity alone.
 
@@ -79,7 +72,7 @@ def dedup_safe(graph, context_sensitive=True):
     covered = set()
     endpoints = set()
     for e in graph.edges:
-        if _edge_key(e.label, context_sensitive) is None:
+        if e.label is None or e.label.key(context_sensitive) is None:
             endpoints.add(e.tail)
             endpoints.add(e.head)
         else:
@@ -94,10 +87,11 @@ def dedup_safe(graph, context_sensitive=True):
 def _add_repeated(prev, capacity, times):
     """Fold ``times`` adds of ``capacity`` into ``prev`` in O(1).
 
-    Bit-identical to ``times`` iterations of the per-edge saturating
-    add (freeze once the running value reaches :data:`INF`), including
-    the exact overshoot value at the INF boundary — the same replay
-    discipline as :meth:`OnlineCollapser.repeat_edge`.
+    Bit-identical to ``times`` post-hoc saturating adds, which freeze
+    at the first overshoot: ``_add_repeated(INF - 1, 5, 2)`` is
+    ``INF + 4``.  :class:`OnlineCollapser` resets such a sum to exactly
+    ``INF`` at its next add; finite capacities are identical either
+    way, and any value ``>= INF`` serializes as ``inf``.
     """
     if times <= 0 or prev >= INF or capacity == 0:
         return prev
@@ -163,22 +157,89 @@ def collapse_graphs(graphs, context_sensitive=True, multiplicities=None):
         return _collapse_graphs(graphs, counts, context_sensitive, span)
 
 
-def _collapse_graphs(graphs, counts, context_sensitive, span):
-    uf = UnionFind()
-    # Keys: ("n", graph_index, node_id) for concrete nodes and
-    # ("s", label_key) / ("d", label_key) for per-label placeholders.
-    for gi, g in enumerate(graphs):
-        uf.union(("n", 0, g.source), ("n", gi, g.source))
-        uf.union(("n", 0, g.sink), ("n", gi, g.sink))
-        for e in g.edges:
-            key = _edge_key(e.label, context_sensitive)
-            if key is None:
-                continue
-            uf.union(("n", gi, e.tail), ("s", key))
-            uf.union(("n", gi, e.head), ("d", key))
+def _find(parent, x):
+    """Root of ``x`` in the flat union-find ``parent``, halving the path."""
+    while True:
+        p = parent[x]
+        if p == x:
+            return x
+        parent[x] = x = parent[p]
 
-    source_root = uf.find(("n", 0, graphs[0].source))
-    sink_root = uf.find(("n", 0, graphs[0].sink))
+
+def _union(parent, a, b):
+    """Merge the classes of ``a`` and ``b``; whether they were apart."""
+    a = _find(parent, a)
+    b = _find(parent, b)
+    if a == b:
+        return False
+    parent[b] = a
+    return True
+
+
+def _collapse_graphs(graphs, counts, context_sensitive, span):
+    # Union-find elements are ints in one flat ``parent`` list: the
+    # source 0 and sink 1 shared by every graph, and a placeholder pair
+    # ``p`` (tail side) / ``p + 1`` (head side) per distinct merge key.
+    # A node joins the first element it touches.  ``p_of`` interns keys
+    # per label object (``graphs`` keeps each label, so its id, alive);
+    # equal but distinct labels meet in ``p_of_key``.  The same pass
+    # sums each key's capacity into ``total[p]`` and its edge count into
+    # ``total[p + 1]``, and logs what the rebuild replays in order.
+    parent = [0, 1]
+    total = [0, 0]
+    first_label = {}
+    replay = []
+    p_of = {id(None): -1}
+    p_of_key = {}
+    for g, m in zip(graphs, counts):
+        joined = [-1] * g.num_nodes
+        joined[g.source] = 0
+        joined[g.sink] = 1
+        for e in g.edges:
+            label = e.label
+            p = p_of.get(id(label))
+            if p is None:
+                key = label.key(context_sensitive)
+                if key is None:
+                    p = -1
+                else:
+                    p = p_of_key.get(key)
+                    if p is None:
+                        p = p_of_key[key] = len(parent)
+                        parent += (p, p + 1)
+                        total += (0, 0)
+                        first_label[p] = label
+                        replay.append(p)
+                p_of[id(label)] = p
+            if p < 0:
+                replay.append((joined, e, m))
+                continue
+            capacity = total[p]
+            if m == 1:
+                if capacity < INF:
+                    # _add_repeated(capacity, e.capacity, 1), inlined.
+                    total[p] = (INF if e.capacity >= INF
+                                else capacity + e.capacity)
+            else:
+                total[p] = _add_repeated(capacity, e.capacity, m)
+            total[p + 1] += m
+            # Equal parents already share a class; skip the finds.
+            node = e.tail
+            a = joined[node]
+            if a < 0:
+                joined[node] = p
+            elif a != p and parent[a] != parent[p]:
+                _union(parent, a, p)
+            p += 1
+            node = e.head
+            a = joined[node]
+            if a < 0:
+                joined[node] = p
+            elif a != p and parent[a] != parent[p]:
+                _union(parent, a, p)
+
+    source_root = _find(parent, 0)
+    sink_root = _find(parent, 1)
     if source_root == sink_root:
         # Labels are meant to identify "the same program location"; a
         # label shared between a source-adjacent and sink-adjacent edge
@@ -189,50 +250,58 @@ def _collapse_graphs(graphs, counts, context_sensitive, span):
     combined = FlowGraph()
     node_of_root = {source_root: combined.source, sink_root: combined.sink}
 
-    def node_for(gi, node):
-        root = uf.find(("n", gi, node))
+    def node_for(element):
+        root = _find(parent, element)
         mapped = node_of_root.get(root)
         if mapped is None:
-            mapped = combined.add_node()
-            node_of_root[root] = mapped
+            mapped = node_of_root[root] = combined.add_node()
         return mapped
 
-    # Accumulate capacities: labelled edges merge by key; unlabelled edges
-    # merge by (endpoints, None), which is always sound for max-flow.
-    merged = {}
-    label_of = {}
-    merge_hits = 0
+    # Rebuild: one edge per labelled key and per unlabelled
+    # ``(tail, head, kind)``, numbering classes in first-encounter
+    # order.  Every edge of a key joins the same two classes, so its
+    # first edge fixes the endpoints.  Self-loops carry no s-t flow.
+    buckets = []
+    unlabelled = {}
+    hits = 0
+    for event in replay:
+        if isinstance(event, int):
+            tail = node_for(event)
+            head = node_for(event + 1)
+            if tail != head:
+                label = first_label[event]
+                if not context_sensitive:
+                    label = label.drop_context()
+                buckets.append([tail, head, total[event], label])
+                hits += total[event + 1]
+            continue
+        joined, e, m = event
+        tail, head = e.tail, e.head
+        for node in (tail, head):
+            if joined[node] < 0:
+                # A node no labelled edge touched is a class of its own.
+                joined[node] = len(parent)
+                parent.append(joined[node])
+        tail = node_for(joined[tail])
+        head = node_for(joined[head])
+        if tail == head:
+            continue
+        label = e.label
+        kind = label.kind if label is not None else None
+        bucket = unlabelled.get((tail, head, kind))
+        if bucket is None:
+            if label is not None and not context_sensitive:
+                label = label.drop_context()
+            bucket = unlabelled[tail, head, kind] = [tail, head, 0, label]
+            buckets.append(bucket)
+        bucket[2] = _add_repeated(bucket[2], e.capacity, m)
+        hits += m
+    # A bucket's first edge is a new bucket, not a merge hit.
+    merge_hits = hits - len(buckets)
     original_nodes = sum(m * g.num_nodes for g, m in zip(graphs, counts))
     original_edges = sum(m * g.num_edges for g, m in zip(graphs, counts))
-    for gi, g in enumerate(graphs):
-        m = counts[gi]
-        for e in g.edges:
-            tail = node_for(gi, e.tail)
-            head = node_for(gi, e.head)
-            if tail == head:
-                continue  # self-loops carry no s-t flow
-            key = _edge_key(e.label, context_sensitive)
-            if key is None:
-                bucket = (tail, head, e.label.kind if e.label else None, None)
-            else:
-                bucket = key
-            prev = merged.get(bucket)
-            if prev is None:
-                prev = 0
-                merge_hits += m - 1
-            else:
-                merge_hits += m
-            merged[bucket] = _add_repeated(prev, e.capacity, m)
-            if bucket not in label_of:
-                # Preserve a representative label (context dropped when
-                # merging context-insensitively) and the endpoints.
-                label = e.label
-                if label is not None and not context_sensitive:
-                    label = label.drop_context()
-                label_of[bucket] = (tail, head, label)
 
-    for bucket, capacity in merged.items():
-        tail, head, label = label_of[bucket]
+    for tail, head, capacity, label in buckets:
         combined.add_edge(tail, head, capacity, label)
 
     stats = CollapseStats(original_nodes, original_edges,
@@ -308,13 +377,13 @@ class OnlineCollapser:
     SOURCE = FlowGraph.SOURCE
     SINK = FlowGraph.SINK
 
-    __slots__ = ("context_sensitive", "_uf", "_next_id", "_buckets",
+    __slots__ = ("context_sensitive", "_parent", "_buckets",
                  "_deferred", "live_nodes", "peak_live_nodes", "merge_hits")
 
     def __init__(self, context_sensitive=True):
         self.context_sensitive = context_sensitive
-        self._uf = UnionFind()
-        self._next_id = 2
+        #: flat union-find over node ids (see :func:`_find`)
+        self._parent = [self.SOURCE, self.SINK]
         #: label key -> :class:`_OnlineEdge`
         self._buckets = {}
         #: unmergeable (``key() is None``) edges, resolved at materialize
@@ -330,17 +399,18 @@ class OnlineCollapser:
 
     def new_node(self):
         """Allocate a fresh node class id."""
-        node = self._next_id
-        self._next_id += 1
+        node = len(self._parent)
+        self._parent.append(node)
         self.live_nodes += 1
         if self.live_nodes > self.peak_live_nodes:
             self.peak_live_nodes = self.live_nodes
         return node
 
+    def _find(self, node):
+        return _find(self._parent, node)
+
     def _merge(self, a, b):
-        uf = self._uf
-        if uf.find(a) != uf.find(b):
-            uf.union(a, b)
+        if _union(self._parent, a, b):
             self.live_nodes -= 1
 
     def add_edge(self, tail, head, capacity, label=None):
@@ -410,7 +480,7 @@ class OnlineCollapser:
         self.merge_hits += 1
         edge.add_capacity(capacity)
         self._merge(edge.tail, tail)
-        return self._uf.find(edge.head)
+        return self._find(edge.head)
 
     def capped_pair(self, capacity, label):
         """Node splitting with reuse: ``(inner, outer)`` for ``label``.
@@ -429,8 +499,7 @@ class OnlineCollapser:
             return inner, outer
         self.merge_hits += 1
         edge.add_capacity(capacity)
-        uf = self._uf
-        return uf.find(edge.tail), uf.find(edge.head)
+        return self._find(edge.tail), self._find(edge.head)
 
     def materialize(self):
         """Rebuild a :class:`FlowGraph` over the current classes.
@@ -440,9 +509,9 @@ class OnlineCollapser:
         edges bucketed by (endpoints, kind).  Also stamps each bucket's
         ``index`` with its edge index in the returned graph.
         """
-        uf = self._uf
-        source_root = uf.find(self.SOURCE)
-        sink_root = uf.find(self.SINK)
+        find = self._find
+        source_root = find(self.SOURCE)
+        sink_root = find(self.SINK)
         if source_root == sink_root:
             raise GraphError(
                 "collapsing merged the source with the sink: edge labels "
@@ -451,7 +520,7 @@ class OnlineCollapser:
         node_of_root = {source_root: graph.source, sink_root: graph.sink}
 
         def node_for(node):
-            root = uf.find(node)
+            root = find(node)
             mapped = node_of_root.get(root)
             if mapped is None:
                 mapped = graph.add_node()

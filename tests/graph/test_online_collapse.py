@@ -19,6 +19,7 @@ from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
 from repro.graph.generators import layered_dag, random_dag
 from repro.graph.maxflow import dinic_max_flow
 from repro.graph.mincut import min_cut_from_residual
+from repro.graph.serialize import dumps_graph
 
 
 def label_edges(g, seed, buckets, with_context):
@@ -63,6 +64,17 @@ def assert_same_collapse(g, context_sensitive):
     assert shape(online) == shape(reference)
 
 
+def assert_same_dump(g, context_sensitive):
+    try:
+        reference, _ = collapse_graph(g, context_sensitive=context_sensitive)
+    except GraphError:
+        with pytest.raises(GraphError):
+            collapse_graph_online(g, context_sensitive=context_sensitive)
+        return
+    online, _ = collapse_graph_online(g, context_sensitive=context_sensitive)
+    assert dumps_graph(online) == dumps_graph(reference)
+
+
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("context_sensitive", [True, False])
     @pytest.mark.parametrize("seed", range(12))
@@ -85,6 +97,45 @@ class TestRandomizedEquivalence:
         g = random_dag(10, 24, seed=seed)
         label_edges(g, seed ^ 0xBEEF, buckets=buckets, with_context=True)
         assert_same_collapse(g, context_sensitive)
+
+
+class TestNearInfBoundary:
+    """Post-hoc freezes a label's sum at its first overshoot past INF;
+    online clamps to exactly INF.  Finite capacities agree and every
+    value >= INF serializes as ``inf``, so the dumps are identical."""
+
+    def test_overshoot_differs_in_memory_not_in_dump(self):
+        for capacities, posthoc in (([INF - 1, 5, 3], INF + 4),
+                                    ([3, INF - 1, 5], INF + 2)):
+            g = FlowGraph()
+            a, b = g.add_node(), g.add_node()
+            g.add_edge(g.source, a, INF, EdgeLabel("in", kind="input"))
+            for capacity in capacities:
+                g.add_edge(a, b, capacity, EdgeLabel("site"))
+            g.add_edge(b, g.sink, INF, EdgeLabel("out", kind="io"))
+            reference, _ = collapse_graph(g)
+            online, _ = collapse_graph_online(g)
+            site = [e.capacity for e in reference.edges
+                    if e.label.location == "site"]
+            assert site == [posthoc]
+            assert [e.capacity for e in online.edges
+                    if e.label.location == "site"] == [INF]
+            assert dumps_graph(online) == dumps_graph(reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), buckets=st.integers(1, 5),
+           context_sensitive=st.booleans())
+    def test_fully_labelled_dumps_match(self, seed, buckets,
+                                        context_sensitive):
+        g = random_dag(8, 20, seed=seed)
+        rng = random.Random(seed)
+        for e in g.edges:
+            e.capacity = rng.choice([1, 7, INF // 3, INF - 2, INF - 1, INF])
+        label_edges(g, seed, buckets=buckets, with_context=True)
+        for index, e in enumerate(g.edges):
+            if e.label is None:
+                e.label = EdgeLabel("own%d" % index)
+        assert_same_dump(g, context_sensitive)
 
 
 class TestOnlineCollapserDirect:
@@ -140,7 +191,7 @@ class TestOnlineCollapserDirect:
         h1 = c.head_for(c.SOURCE, 4, label)
         before = c.live_nodes
         h2 = c.head_for(c.SOURCE, 4, label)
-        assert c._uf.find(h1) == c._uf.find(h2)
+        assert c._find(h1) == c._find(h2)
         assert c.live_nodes == before  # reuse allocates nothing
         pair_label = EdgeLabel("val")
         p1 = c.capped_pair(8, pair_label)

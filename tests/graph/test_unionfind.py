@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.graph.unionfind import UnionFind
+from .collapse_oracle import UnionFind
 
 
 class TestBasics:
