@@ -11,6 +11,9 @@ Gauges checked: ``collapse.nodes_after`` and ``collapse.edges_after``
 (post-hoc collapse), ``collapse.online.nodes_live`` and
 ``collapse.online.edges_live`` (online collapse); a gauge that is zero
 in the baseline (the benchmark never collapsed that way) is skipped.
+The shard store's on-disk size, ``store.bytes``, is held to the same
+no-growth rule: a change that writes more bytes for the same distinct
+shards (a fatter blob format, duplicated writes) fails the check.
 
 Both collapse paths also pin their merge counters exactly:
 ``collapse.label_merge_hits`` and ``collapse.online.merge_hits`` count
@@ -57,9 +60,11 @@ import sys
 #: records: continuous export may cost at most 5% of trace time.
 TELEMETRY_OVERHEAD_LIMIT = 0.05
 
-#: Gauges whose growth marks a collapsed-graph-size regression.
+#: Gauges whose growth marks a collapsed-graph-size (or stored-size)
+#: regression.
 CHECKED_GAUGES = ("collapse.nodes_after", "collapse.edges_after",
-                  "collapse.online.nodes_live", "collapse.online.edges_live")
+                  "collapse.online.nodes_live", "collapse.online.edges_live",
+                  "store.bytes")
 
 #: Metrics that must match the baseline *exactly* (when nonzero there):
 #: the batch benchmarks' workload shape, the corpus-combine

@@ -39,7 +39,7 @@ from ..errors import BatchError, GraphError, StoreError
 from ..graph.collapse import CollapseStats, collapse_step
 from ..graph.maxflow import dinic_max_flow
 from ..graph.mincut import MinCut
-from ..graph.serialize import dump_graph, load_graph
+from ..graph.serialize import dumps_graph, load_graph
 from ..lang.runner import compile_cached, execute, measure
 from ..shadow import resolve_backend
 from ..store import ShardStore
@@ -87,16 +87,6 @@ def _mark_partial(report, failed, attempted):
         "Kraft guarantee says nothing about the failed runs)"
         % (failed, attempted, attempted - failed))
     return report
-
-
-def _dump_text(graph, category_edges=None):
-    buffer = io.StringIO()
-    dump_graph(graph, buffer, category_edges=category_edges)
-    return buffer.getvalue()
-
-
-def _load_text(text):
-    return load_graph(io.StringIO(text))
 
 
 def _chunks(count, parts):
@@ -201,7 +191,7 @@ def _trace_run_job(payload):
     report = measure_graph(graph, collapse=collapse, stats=tracker.stats,
                            warnings=vm.warnings)
     return {
-        "graph": _dump_text(graph),
+        "graph": dumps_graph(graph),
         "stats": dict(tracker.stats),
         "warnings": list(vm.warnings),
         "bits": report.bits,
@@ -278,7 +268,7 @@ def measure_program_runs(source, secret_inputs, public_input=b"",
                     # digest is new).
                     shard_store.put_text(outcome["graph"])
                 else:
-                    graphs.append(_load_text(outcome["graph"]))
+                    graphs.append(load_graph(io.StringIO(outcome["graph"])))
             except GraphError as error:
                 if not engine.faults.collecting:
                     raise
@@ -549,7 +539,7 @@ def _category_solve_job(payload):
     objects, exactly as the serial sweep's does.
     """
     text, category, category_edges = payload
-    graph = _load_text(text)
+    graph = load_graph(io.StringIO(text))
     restricted = _restricted_copy(graph, category_edges, [category])
     value, residual = dinic_max_flow(restricted)
     return category, value, residual.source_side()
@@ -571,7 +561,7 @@ def measure_by_category_jobs(graph, category_edges, collapse="none",
     missing from ``per_category`` and reported in the returned
     :class:`~repro.core.multisecret.CategoryBounds`' ``failures``.
     """
-    text = _dump_text(graph)
+    text = dumps_graph(graph)
     categories = sorted(category_edges)
     payloads = [(text, category, dict(category_edges))
                 for category in categories]

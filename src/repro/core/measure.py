@@ -44,9 +44,9 @@ def _publish(metrics, solved, value, cut):
     metrics.gauge("mincut.edges", len(cut.edges))
 
 
-def _solve(graph, span, solver=dinic_max_flow):
+def _solve(graph, span):
     """The single solve + min cut every measurement ends in."""
-    value, residual = solver(graph)
+    value, residual = dinic_max_flow(graph)
     with obs.get_metrics().phase("mincut"):
         cut = min_cut_from_residual(graph, residual)
     span.set(bits=value)
@@ -85,8 +85,7 @@ def _report(graph, value, cut, collapse_stats=None, stats_list=(),
     )
 
 
-def measure_graph(graph, collapse="context", stats=None, warnings=None,
-                  solver=dinic_max_flow):
+def measure_graph(graph, collapse="context", stats=None, warnings=None):
     """Measure the information flow bound of a completed trace graph.
 
     Args:
@@ -95,8 +94,6 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None,
         stats: optional event-counter dict from the trace builder,
             carried through to the report.
         warnings: optional list of notes carried through to the report.
-        solver: max-flow function of signature ``graph -> (value,
-            residual)``; defaults to Dinic's algorithm.
 
     A graph built by an online-collapsing tracker
     (:class:`~repro.core.tracker.CollapsingTraceBuilder`) arrives
@@ -143,7 +140,7 @@ def measure_graph(graph, collapse="context", stats=None, warnings=None,
             with metrics.phase("collapse"):
                 solved, collapse_stats = collapse_graphs(
                     [graph], context_sensitive=(collapse == "context"))
-        value, cut = _solve(solved, span, solver)
+        value, cut = _solve(solved, span)
     return _report(solved, value, cut, collapse_stats,
                    [stats] if stats else (), warnings)
 

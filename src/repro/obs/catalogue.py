@@ -212,7 +212,8 @@ def _specs():
         (c, "store.dedup_hits", "shards", "experimental",
          "store puts whose digest was already present (no blob write)"),
         (c, "store.bytes", "bytes", "experimental",
-         "shard-blob bytes written to stores (dedup hits write none)"),
+         "canonical-text bytes of the shard blobs written to stores "
+         "(dedup hits write none)"),
         (g, "combine.tree_levels", "levels", "experimental",
          "reduction levels of the most recent tree-reduction combine "
          "(the parent-side root fold counts as one)"),

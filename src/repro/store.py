@@ -7,17 +7,23 @@ identically* — so the corpus is tiny once content-addressed.  A
 :class:`ShardStore` keeps each distinct collapsed ``flowgraph-v1``
 shard exactly once on disk, keyed by its canonical digest
 (:func:`~repro.graph.serialize.graph_digest`: SHA-256 over the
-canonical text form, independent of the on-disk framing), and records
-every put in an append-only manifest so the corpus is just an ordered
-list of digests with multiplicities.
+canonical text form), and records every put in an append-only manifest
+so the corpus is just an ordered list of digests with multiplicities.
 
 Layout under the store root::
 
-    manifest            one digest per line, in put order (append-only)
-    objects/<digest>.fgb    the shard, compact binary framing
+    manifest                one digest per line, in put order
+                            (append-only)
+    objects/<digest>.fg     the shard: exactly the UTF-8 canonical text
+                            its digest hashes
     objects/<digest>.json   shard metadata (sizes, structural cut
                             capacities, dedup safety) for the
                             incremental Kraft accounting
+
+Because a blob holds the digest's own bytes, every read checks it with
+one hash: :meth:`ShardStore.get` raises
+:class:`~repro.errors.StoreError` on a blob that no longer hashes to
+its name (bit rot, a torn copy, a swapped file).
 
 Blob and metadata writes are atomic (unique temp file + ``os.replace``)
 and idempotent, so pool workers may write intermediate merge results
@@ -36,13 +42,15 @@ store notes what happened on :attr:`ShardStore.recovered` (and as a
 kill-9-interrupted ingest reopens the corpus instead of raising.
 
 Other corrupt store structure raises
-:class:`~repro.errors.StoreError`; corrupt graph payloads keep raising
-:class:`~repro.errors.GraphError`, exactly as every other loader in
-the package.
+:class:`~repro.errors.StoreError`; corrupt text handed to
+:meth:`ShardStore.put_text` / :meth:`ShardStore.put_object_text` raises
+:class:`~repro.errors.GraphError`, exactly as every other loader in the
+package.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -51,12 +59,12 @@ import re
 from . import obs
 from .errors import StoreError
 from .graph.collapse import dedup_safe
-from .graph.serialize import (dump_graph_binary, dumps_graph,
-                              load_graph, load_graph_binary, text_digest)
+from .graph.serialize import dumps_graph, load_graph, text_digest
 
 _DIGEST = re.compile(r"^[0-9a-f]{64}$")
 _MANIFEST = "manifest"
 _OBJECTS = "objects"
+_BLOB = ".fg"
 
 
 def _shard_meta(graph):
@@ -109,7 +117,7 @@ class ShardStore:
     # Paths and manifest
 
     def _blob_path(self, digest):
-        return os.path.join(self._objects, digest + ".fgb")
+        return os.path.join(self._objects, digest + _BLOB)
 
     def _meta_path(self, digest):
         return os.path.join(self._objects, digest + ".json")
@@ -156,10 +164,10 @@ class ShardStore:
         if not fragment or len(fragment) >= 64 \
                 or not re.fullmatch(r"[0-9a-f]+", fragment):
             return None
-        matches = [name[:-len(".fgb")] for name in os.listdir(self._objects)
-                   if name.endswith(".fgb")
+        matches = [name[:-len(_BLOB)] for name in os.listdir(self._objects)
+                   if name.endswith(_BLOB)
                    and name.startswith(fragment)
-                   and _DIGEST.match(name[:-len(".fgb")])]
+                   and _DIGEST.match(name[:-len(_BLOB)])]
         if len(matches) == 1:
             return matches[0]
         return None
@@ -194,55 +202,34 @@ class ShardStore:
     # ------------------------------------------------------------------
     # Writing
 
-    def _write_object(self, digest, graph, category_edges=None):
-        """Atomically write blob + metadata; returns bytes written (0 on
-        dedup)."""
-        blob_path = self._blob_path(digest)
-        if os.path.exists(blob_path):
-            return 0
-        tmp = "%s.tmp.%d" % (blob_path, os.getpid())
-        with open(tmp, "wb") as handle:
-            dump_graph_binary(graph, handle, category_edges=category_edges)
-        size = os.path.getsize(tmp)
-        meta_tmp = "%s.tmp.%d" % (self._meta_path(digest), os.getpid())
-        with open(meta_tmp, "w") as handle:
-            json.dump(_shard_meta(graph), handle, sort_keys=True)
-        os.replace(meta_tmp, self._meta_path(digest))
-        os.replace(tmp, blob_path)
-        return size
+    def _store(self, text, graph=None, manifest=True):
+        """The write path of every ``put*`` method; returns the digest
+        of canonical ``text``.
 
-    def put(self, graph, category_edges=None):
-        """Append one run's shard to the corpus; returns its digest.
-
-        Content-addressed: an already-seen graph writes nothing but its
-        manifest line and bumps the multiplicity.
-        """
-        text = dumps_graph(graph, category_edges=category_edges)
-        return self._put_common(text_digest(text), graph, category_edges)
-
-    def put_text(self, text):
-        """:meth:`put` for a shard already in canonical text form (as
-        shipped home by batch workers).
-
-        The graph is parsed (hardened loader: corrupt text raises
-        :class:`~repro.errors.GraphError`) only when the digest is new;
-        a dedup hit costs one hash and one manifest line.
+        A new digest writes its metadata, then its blob (``text`` as
+        UTF-8), each atomically, so a visible blob always has metadata.
+        ``graph`` is ``text`` parsed; without one the text is loaded
+        here (hardened loader: corrupt text raises
+        :class:`~repro.errors.GraphError` before anything is written).
+        ``manifest`` appends the digest to the corpus.
         """
         digest = text_digest(text)
-        graph = None
-        if not os.path.exists(self._blob_path(digest)):
-            graph = load_graph(io.StringIO(text))
-        return self._put_common(digest, graph, None)
-
-    def _put_common(self, digest, graph, category_edges):
+        blob_path = self._blob_path(digest)
         written = 0
-        if graph is not None:
-            written = self._write_object(digest, graph, category_edges)
-        self._note_object(written, digest)
-        self._append_manifest(digest)
-        return digest
-
-    def _note_object(self, written, digest):
+        if not os.path.exists(blob_path):
+            if graph is None:
+                graph = load_graph(io.StringIO(text))
+            meta_path = self._meta_path(digest)
+            meta_tmp = "%s.tmp.%d" % (meta_path, os.getpid())
+            with open(meta_tmp, "w") as handle:
+                json.dump(_shard_meta(graph), handle, sort_keys=True)
+            os.replace(meta_tmp, meta_path)
+            data = text.encode("utf-8")
+            tmp = "%s.tmp.%d" % (blob_path, os.getpid())
+            with open(tmp, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, blob_path)
+            written = len(data)
         metrics = obs.get_metrics()
         if metrics.enabled:
             if written:
@@ -252,8 +239,30 @@ class ShardStore:
                 metrics.incr("store.dedup_hits")
         if not written:
             obs.get_event_log().event("store.dedup", digest=digest)
+        if manifest:
+            self._append_manifest(digest)
+        return digest
 
-    def put_object(self, graph, category_edges=None):
+    def put(self, graph):
+        """Append one run's shard to the corpus; returns its digest.
+
+        Content-addressed: an already-seen graph writes nothing but its
+        manifest line and bumps the multiplicity.  Category tags travel
+        on the graph's ``category_edges`` attribute.
+        """
+        return self._store(dumps_graph(graph), graph)
+
+    def put_text(self, text):
+        """:meth:`put` for a shard already in canonical text form (as
+        shipped home by batch workers).
+
+        The graph is parsed (hardened loader: corrupt text raises
+        :class:`~repro.errors.GraphError`) only when the digest is new;
+        a dedup hit costs one hash and one manifest line.
+        """
+        return self._store(text)
+
+    def put_object(self, graph):
         """Write a graph as a content-addressed object *without* adding
         it to the corpus; returns its digest.
 
@@ -262,11 +271,7 @@ class ShardStore:
         instead of O(coverage) payloads — and identical subtree merges
         (common under heavy dedup) are written once.
         """
-        digest = text_digest(dumps_graph(graph,
-                                         category_edges=category_edges))
-        written = self._write_object(digest, graph, category_edges)
-        self._note_object(written, digest)
-        return digest
+        return self._store(dumps_graph(graph), graph, manifest=False)
 
     def put_object_text(self, text):
         """:meth:`put_object` for a shard already in canonical text form.
@@ -278,13 +283,7 @@ class ShardStore:
         digest on resume — nothing is double-counted.  The text is
         parsed (hardened loader) only when the digest is new.
         """
-        digest = text_digest(text)
-        written = 0
-        if not os.path.exists(self._blob_path(digest)):
-            graph = load_graph(io.StringIO(text))
-            written = self._write_object(digest, graph, None)
-        self._note_object(written, digest)
-        return digest
+        return self._store(text, manifest=False)
 
     # ------------------------------------------------------------------
     # Reading
@@ -292,24 +291,24 @@ class ShardStore:
     def has(self, digest):
         return os.path.exists(self._blob_path(digest))
 
-    def get(self, digest, verify=False):
-        """Load a stored shard.  ``verify=True`` re-derives the digest
-        from the loaded graph and raises :class:`StoreError` on
-        mismatch (bit-rot detection)."""
-        path = self._blob_path(digest)
+    def get(self, digest):
+        """Load a stored shard.
+
+        Every read re-hashes the blob's bytes and raises
+        :class:`StoreError` when they do not hash to ``digest`` (bit-rot
+        detection), before parsing them.
+        """
         try:
-            with open(path, "rb") as handle:
-                graph = load_graph_binary(handle)
+            with open(self._blob_path(digest), "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             raise StoreError("no object %s in store %s"
                              % (digest, self.root)) from None
-        if verify:
-            actual = text_digest(dumps_graph(graph))
-            if actual != digest:
-                raise StoreError(
-                    "object %s in store %s hashes to %s: blob corrupt"
-                    % (digest, self.root, actual))
-        return graph
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != digest:
+            raise StoreError("object %s in store %s hashes to %s: blob "
+                             "corrupt" % (digest, self.root, actual))
+        return load_graph(io.StringIO(data.decode("utf-8")))
 
     def meta(self, digest):
         """The shard's stored metadata dict (see module docstring)."""

@@ -224,7 +224,7 @@ class TestPartialCollect:
         root = tmp_path / "partial"
         store = fill_store(root, runs)
         victim = store.order()[2]
-        (root / "objects" / (victim + ".fgb")).unlink()
+        (root / "objects" / (victim + ".fg")).unlink()
         with pytest.raises((Exception,)):
             combine_store_jobs(store, jobs=1)
         for jobs in (1, 2):
@@ -251,6 +251,6 @@ class TestPartialCollect:
         root = tmp_path / "void"
         store = fill_store(root, [shard(rng) for _ in range(3)])
         for digest in set(store.order()):
-            (root / "objects" / (digest + ".fgb")).unlink()
+            (root / "objects" / (digest + ".fg")).unlink()
         with pytest.raises(BatchError):
             combine_store_jobs(store, jobs=1, on_error="collect")

@@ -463,16 +463,16 @@ class TestPartialBatchResult:
                                                    metrics):
         """A graph that fails to parse on arrival marks *that run*
         failed instead of crashing the merge."""
-        real_load = runs_module._load_text
+        real_load = runs_module.load_graph
         calls = []
 
-        def flaky_load(text):
-            calls.append(text)
+        def flaky_load(stream):
+            calls.append(stream)
             if len(calls) == 2:
                 raise GraphError("simulated corruption")
-            return real_load(text)
+            return real_load(stream)
 
-        monkeypatch.setattr(runs_module, "_load_text", flaky_load)
+        monkeypatch.setattr(runs_module, "load_graph", flaky_load)
         result = measure_program_runs(CRASHY, [b"\x05", b"\x0a", b"\x07"],
                                       jobs=1, on_error="collect")
         assert result.partial
@@ -482,10 +482,10 @@ class TestPartialBatchResult:
         assert metrics.snapshot()["batch.failures"] == 1
 
     def test_corrupt_worker_graph_raises_by_default(self, monkeypatch):
-        def broken_load(_text):
+        def broken_load(_stream):
             raise GraphError("simulated corruption")
 
-        monkeypatch.setattr(runs_module, "_load_text", broken_load)
+        monkeypatch.setattr(runs_module, "load_graph", broken_load)
         with pytest.raises(GraphError):
             measure_program_runs(CRASHY, [b"\x05"], jobs=1)
 

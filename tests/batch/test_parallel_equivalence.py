@@ -148,6 +148,18 @@ class TestMultiRunEquivalence:
                     fanin=2)
                 assert_same_fold(combined.report, serial.report)
 
+    def test_line_break_in_filename(self, tmp_path):
+        """Locations embed the filename; a newline or carriage return in
+        it must not split the records of a shipped or stored graph."""
+        secrets = [b"\x01", b"\x02"]
+        plain = measure_program_runs(BRANCHY, secrets)
+        for index, filename in enumerate(("prog\nx.fl", "prog\rx.fl")):
+            for store in (None, tmp_path / ("store-%d" % index)):
+                result = measure_program_runs(BRANCHY, secrets,
+                                              filename=filename, store=store)
+                assert result.per_run_bits == plain.per_run_bits
+                assert result.bits == plain.bits
+
     def test_parallel_counters_are_worker_sums(self):
         """Merged parent counters equal the sums of per-run counters."""
         secrets = random_secrets(5, 4)

@@ -7,8 +7,8 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
 from repro.graph.maxflow import dinic_max_flow
-from repro.graph.serialize import (dump_graph, load_graph, read_graph,
-                                   save_graph)
+from repro.graph.serialize import (dump_graph, graph_digest, load_graph,
+                                   read_graph, save_graph)
 from repro.lang import measure
 
 
@@ -68,6 +68,27 @@ class TestRoundTrip:
         g.add_edge(g.source, g.sink, 9)
         path = save_graph(str(tmp_path / "g.fgr"), g)
         assert read_graph(path).edges[0].capacity == 9
+
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r", "\r\n"],
+                             ids=["tab", "lf", "cr", "crlf"])
+    def test_separator_in_names_sanitized(self, tmp_path, separator):
+        # A tab or line break inside a location or category name would
+        # split its record; each is written as a space, and the digest
+        # is unchanged by a file round trip.
+        g = FlowGraph()
+        g.add_edge(g.source, g.sink, 3,
+                   EdgeLabel("a%sb:3" % separator, None, "data"))
+        g.category_edges = {"ali%sce" % separator: [0]}
+        loaded = read_graph(save_graph(str(tmp_path / "g.fgr"), g))
+        spaces = " " * len(separator)
+        assert loaded.edges[0].label.location == "a%sb:3" % spaces
+        assert loaded.category_edges == {"ali%sce" % spaces: [0]}
+        assert graph_digest(loaded) == graph_digest(g)
+
+    def test_capacity_beyond_inf_loads_as_inf(self):
+        g = FlowGraph()
+        g.add_edge(g.source, g.sink, INF * 3)
+        assert round_trip(g).edges[0].capacity == INF
 
     def test_bad_header_rejected(self):
         with pytest.raises(GraphError):

@@ -1,13 +1,14 @@
 """Unit tests for the content-addressed shard store (``repro.store``)."""
 
+import hashlib
 import os
 
 import pytest
 
 from repro import obs
 from repro.errors import GraphError, StoreError
-from repro.graph.flowgraph import EdgeLabel, FlowGraph
-from repro.graph.serialize import dumps_graph, graph_digest
+from repro.graph.flowgraph import INF, EdgeLabel, FlowGraph
+from repro.graph.serialize import dumps_graph, graph_digest, save_graph
 from repro.store import ShardStore
 
 
@@ -31,8 +32,8 @@ class TestPut:
         assert store.distinct == 1
         assert store.multiplicities() == [(digest, 2)]
         blobs = [n for n in os.listdir(tmp_path / "store" / "objects")
-                 if n.endswith(".fgb")]
-        assert blobs == [digest + ".fgb"]
+                 if n.endswith(".fg")]
+        assert blobs == [digest + ".fg"]
 
     def test_put_text_matches_put(self, tmp_path):
         store = ShardStore(tmp_path / "store")
@@ -71,7 +72,23 @@ class TestPut:
         store = ShardStore(tmp_path / "store")
         g = make_graph(capacity=9)
         digest = store.put(g)
-        assert dumps_graph(store.get(digest, verify=True)) == dumps_graph(g)
+        assert dumps_graph(store.get(digest)) == dumps_graph(g)
+
+    def test_blob_holds_the_digests_text(self, tmp_path):
+        # Every writer stores exactly the canonical UTF-8 text its digest
+        # hashes, line breaks in names included.
+        root = tmp_path / "store"
+        store = ShardStore(root)
+        tagged = make_graph(capacity=5, location="b\nc.fl:2\r")
+        tagged.category_edges = {"ali\tce": [0]}
+        digests = [store.put(make_graph()),
+                   store.put_text(dumps_graph(make_graph(2))),
+                   store.put_object(tagged),
+                   store.put_object_text(dumps_graph(make_graph(7, "é:1")))]
+        for digest in digests:
+            blob = (root / "objects" / (digest + ".fg")).read_bytes()
+            assert blob == dumps_graph(store.get(digest)).encode("utf-8")
+            assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_order_preserved(self, tmp_path):
         store = ShardStore(tmp_path / "store")
@@ -190,27 +207,52 @@ class TestStoreErrors:
     def test_bitrot_detected_on_verify(self, tmp_path):
         root = tmp_path / "store"
         store = ShardStore(root)
-        other = make_graph(capacity=50)
         digest = store.put(make_graph())
-        # Swap in a different (valid) blob: only verify=True notices.
-        blob = root / "objects" / (digest + ".fgb")
-        from repro.graph.serialize import save_graph_binary
-        save_graph_binary(blob, other)
-        store.get(digest)
-        with pytest.raises(StoreError):
-            store.get(digest, verify=True)
+        # Swap in another valid graph's text: every get re-hashes.
+        save_graph(root / "objects" / (digest + ".fg"),
+                   make_graph(capacity=50))
+        with pytest.raises(StoreError, match="hashes to"):
+            store.get(digest)
 
     def test_corrupt_blob_payload_is_graph_error(self, tmp_path):
         root = tmp_path / "store"
         store = ShardStore(root)
         digest = store.put(make_graph())
-        with open(root / "objects" / (digest + ".fgb"), "r+b") as handle:
+        with open(root / "objects" / (digest + ".fg"), "r+b") as handle:
             handle.seek(20)
             byte = handle.read(1)
             handle.seek(20)
             handle.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises((GraphError, StoreError)):
-            store.get(digest, verify=True)
+            store.get(digest)
+
+    def stored_blob(self, tmp_path):
+        root = tmp_path / "store"
+        store = ShardStore(root)
+        graph = make_graph(capacity=INF)
+        graph.category_edges = {"alice": [0]}
+        digest = store.put(graph)
+        path = root / "objects" / (digest + ".fg")
+        return store, digest, path, path.read_bytes()
+
+    def test_every_blob_truncation_is_store_error(self, tmp_path):
+        # Never a different graph, never a bare exception: each cut
+        # copy of the blob fails the hash check.
+        store, digest, path, blob = self.stored_blob(tmp_path)
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(StoreError):
+                store.get(digest)
+
+    def test_every_blob_bit_flip_is_store_error(self, tmp_path):
+        store, digest, path, blob = self.stored_blob(tmp_path)
+        for position in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[position] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                with pytest.raises(StoreError):
+                    store.get(digest)
 
 
 class TestMetrics:
